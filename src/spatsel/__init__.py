@@ -4,7 +4,6 @@ from .dataset import (
     ClusteredDataset,
     CsvSchema,
     NeighborhoodGraph,
-    Observation,
     build_neighborhoods,
     load_adjacency,
     load_csv,
@@ -45,7 +44,6 @@ __all__ = [
     "GridConfig",
     "MillsValue",
     "NeighborhoodGraph",
-    "Observation",
     "ProbitFit",
     "ProbitSpec",
     "SeparationError",

@@ -8,8 +8,9 @@ simulate       run a simulation grid from a config file, write tables
 dump-operator  write an operator as a row,col,weight CSV
 
 Exit codes: 0 success, 2 validation/configuration error, 3 estimation
-failure. All outputs are reproducible byte for byte given the same inputs
-and seed.
+failure, 4 internal error (an unexpected exception, a fault in the
+program rather than in the data). All outputs are reproducible byte for
+byte given the same inputs and seed.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .probit import ProbitSpec, predict_index
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ESTIMATION = 3
+EXIT_INTERNAL = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -230,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ESTIMATION
     except Exception as exc:  # surface anything unexpected without a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ A dataset is a flat list of observations, each belonging to one location
 and one sub-location nested inside it. Selection is a 0/1 indicator; the
 outcome is recorded only for selected rows. Storage is column-oriented
 (numpy arrays) so the simulation harness can build thousands of datasets
-cheaply; per-row `Observation` views are materialised on demand.
+cheaply.
 """
 
 from __future__ import annotations
@@ -13,27 +13,13 @@ import csv
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .exceptions import ValidationError
 
 NEIGHBOR_RULES = ("sublocation", "location", "edges", "distance")
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One row of a clustered dataset."""
-
-    obs_id: object
-    location_id: object
-    sublocation_id: object
-    selected: bool
-    outcome: float | None
-    x: np.ndarray
-    z: np.ndarray
-    coords: tuple[float, float] | None = None
 
 
 @dataclass
@@ -178,22 +164,6 @@ class ClusteredDataset:
             i = members[0]
             out[(self.location_ids[i], self.sublocation_ids[i])] = members
         return out
-
-    # -- row views ----------------------------------------------------------
-    def observation(self, i: int) -> Observation:
-        return Observation(
-            obs_id=self.obs_ids[i],
-            location_id=self.location_ids[i],
-            sublocation_id=self.sublocation_ids[i],
-            selected=bool(self.selected[i]),
-            outcome=float(self.outcome[i]) if self.selected[i] else None,
-            x=self.x[i].copy(),
-            z=self.z[i].copy(),
-            coords=tuple(self.coords[i]) if self.coords is not None else None,
-        )
-
-    def observations(self) -> Iterator[Observation]:
-        return (self.observation(i) for i in range(self.n_obs))
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +327,34 @@ def load_adjacency(path) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 
+def group_pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (i, k), i != k, of positions sharing a code.
+
+    `codes` are non-negative integers. The pairs come back as two int64
+    arrays sorted by i, then by k.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    sizes = np.bincount(codes)
+    order = np.argsort(codes, kind="stable")     # each group's members, ascending
+    start = np.cumsum(sizes) - sizes             # first slot of each group in `order`
+    rank = np.empty(len(codes), dtype=np.int64)  # position of i among its group's members
+    rank[order] = np.arange(len(codes)) - start[codes[order]]
+    deg = sizes[codes] - 1
+    i = np.repeat(np.arange(len(codes), dtype=np.int64), deg)
+    # the t-th partner of i is the t-th member of its group, skipping i itself
+    t = np.arange(len(i)) - np.repeat(np.cumsum(deg) - deg, deg)
+    k = order[np.repeat(start[codes], deg) + t + (t >= np.repeat(rank, deg))]
+    return i, k
+
+
 @dataclass
 class NeighborhoodGraph:
     """Symmetric, irreflexive neighbor sets over the observations of a dataset.
 
     For the membership rules (`sublocation`, `location`) only the group
     codes are stored; adjacency lists are materialised lazily since the
-    operator builders can work from the codes directly.
+    operator builders can work from the codes directly. Neighbor indices
+    ascend within each adjacency row.
     """
 
     n_obs: int
@@ -374,28 +365,9 @@ class NeighborhoodGraph:
     _indices: np.ndarray | None = None
 
     def _materialize(self) -> None:
-        if self._indptr is not None:
-            return
-        codes = self.group_codes
-        order = np.argsort(codes, kind="stable")
-        sizes = np.bincount(codes)
-        degrees = (sizes[codes] - 1).astype(np.int64)
-        indptr = np.zeros(self.n_obs + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        # groups are contiguous in `order`
-        boundaries = np.flatnonzero(np.r_[True, codes[order][1:] != codes[order][:-1], True])
-        for a, b in zip(boundaries[:-1], boundaries[1:]):
-            members = np.sort(order[a:b])
-            m = len(members)
-            if m < 2:
-                continue
-            for t in range(m):
-                i = members[t]
-                row = np.delete(members, t)
-                indices[indptr[i]:indptr[i] + m - 1] = row
-        self._indptr = indptr
-        self._indices = indices
+        i, self._indices = group_pairs(self.group_codes)
+        self._indptr = np.zeros(self.n_obs + 1, dtype=np.int64)
+        np.cumsum(np.bincount(i, minlength=self.n_obs), out=self._indptr[1:])
 
     @property
     def indptr(self) -> np.ndarray:
@@ -415,9 +387,6 @@ class NeighborhoodGraph:
 
     def neighbor_map(self) -> dict[int, set]:
         return {i: self.neighbors_of(i) for i in range(self.n_obs)}
-
-    def degree(self) -> np.ndarray:
-        return np.diff(self.indptr)
 
 
 def _graph_from_pairs(ds: ClusteredDataset, src: np.ndarray, dst: np.ndarray,

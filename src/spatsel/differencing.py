@@ -11,6 +11,10 @@ fixed_effect  one row per selected anchor i: +1 at i, -1/N_d at each
 kernel        like fixed_effect but neighbors weighted by a kernel in the
               distance between plug-in index values, normalised to sum one
 
+All three are built from one list of ordered (anchor, partner) column
+pairs, sorted by anchor then partner. Rows ascend by anchor column and the
+columns ascend within each row, whatever the neighborhood rule.
+
 Rows never mix locations; neighbors from a different location are skipped
 and counted. Anchors that yield no row (no usable neighbor, or zero total
 kernel weight) are counted in `dropped_anchors`.
@@ -25,7 +29,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .dataset import NeighborhoodGraph
+from .dataset import NeighborhoodGraph, group_pairs
 from .exceptions import ValidationError
 
 KERNELS = ("epanechnikov", "gaussian")
@@ -57,12 +61,6 @@ class DifferenceOperator:
         coo = self.matrix.tocoo()
         return coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
 
-    @property
-    def pair_index(self) -> list[tuple[int, int | None]]:
-        if self.partner is None:
-            return [(int(a), None) for a in self.anchor]
-        return [(int(a), int(k)) for a, k in zip(self.anchor, self.partner)]
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply the operator to a vector or matrix over selected observations."""
         v = np.asarray(v, dtype=np.float64)
@@ -71,14 +69,6 @@ class DifferenceOperator:
                 f"operator expects leading dimension {self.cols}, got {v.shape[0]}"
             )
         return self.matrix @ v
-
-    def apply_transpose(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape[0] != self.rows:
-            raise ValidationError(
-                f"operator transpose expects leading dimension {self.rows}, got {u.shape[0]}"
-            )
-        return self.matrix.T @ u
 
     def dump_csv(self, path) -> None:
         """Debug dump as a triple-list CSV (row,col,weight)."""
@@ -95,114 +85,71 @@ class DifferenceOperator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _SelectedView:
-    """Selected observations of a graph: column order, group/neighbor info."""
-
-    sel_idx: np.ndarray          # dataset index per operator column
-    col_of: np.ndarray           # dataset index -> column (or -1)
-    location: np.ndarray         # location code per column
-
-
-def _selected_view(graph: NeighborhoodGraph, selected) -> _SelectedView:
-    sel_idx = np.asarray(selected, dtype=np.int64)
-    if sel_idx.ndim != 1:
+def _selected(graph: NeighborhoodGraph, selected) -> np.ndarray:
+    sel = np.asarray(selected, dtype=np.int64)
+    if sel.ndim != 1:
         raise ValidationError("selected must be a 1-d index array")
-    if len(sel_idx) and not (
-        (np.diff(sel_idx) > 0).all() and 0 <= sel_idx[0] and sel_idx[-1] < graph.n_obs
+    if len(sel) and not (
+        (np.diff(sel) > 0).all() and 0 <= sel[0] and sel[-1] < graph.n_obs
     ):
         raise ValidationError(
             "selected must be strictly increasing observation indices within the graph"
         )
+    return sel
+
+
+def _pairs(graph: NeighborhoodGraph, sel: np.ndarray):
+    """Selected same-location neighbor pairs as operator columns.
+
+    Returns (anchor, partner, skipped): every ordered pair, sorted by anchor
+    then partner, and the number of cross-location links discarded.
+    """
+    if graph.group_codes is not None:
+        # groups nest within locations, so no pair crosses one
+        return (*group_pairs(graph.group_codes[sel]), 0)
+    starts = graph.indptr[sel]
+    degs = graph.indptr[sel + 1] - starts
+    a = np.repeat(np.arange(len(sel), dtype=np.int64), degs)
+    # gather each selected anchor's adjacency row, rows back to back
+    shift = np.repeat(starts - (np.cumsum(degs) - degs), degs)
+    nbr = graph.indices[np.arange(len(a)) + shift]
     col_of = np.full(graph.n_obs, -1, dtype=np.int64)
-    col_of[sel_idx] = np.arange(len(sel_idx))
-    return _SelectedView(sel_idx=sel_idx, col_of=col_of,
-                         location=graph.location_codes[sel_idx])
+    col_of[sel] = np.arange(len(sel))
+    k = col_of[nbr]
+    is_selected = k >= 0
+    same_loc = graph.location_codes[nbr] == graph.location_codes[sel][a]
+    keep = is_selected & same_loc
+    return a[keep], k[keep], int((is_selected & ~same_loc).sum())
 
 
-def _membership_groups(graph: NeighborhoodGraph, view: _SelectedView):
-    """Selected columns grouped by membership code, groups contiguous.
+def _anchored(kind: str, sel: np.ndarray, a: np.ndarray, k: np.ndarray,
+              w: np.ndarray, skipped: int) -> DifferenceOperator:
+    """One row per anchor: +1 at the anchor and -w at each partner.
 
-    Returns (order, sizes) where `order` lists operator columns sorted by
-    group and `sizes` the per-group member counts (only groups with at
-    least one selected member).
+    (a, k) are sorted by anchor then partner, so each row's entries are its
+    partners in ascending order with the anchor slotted in among them.
     """
-    codes = graph.group_codes[view.sel_idx]
-    order = np.argsort(codes, kind="stable").astype(np.int64)
-    sorted_codes = codes[order]
-    boundary = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
-    sizes = np.diff(np.r_[boundary, len(order)]).astype(np.int64)
-    return order, sizes
-
-
-def _neighbor_lists(graph: NeighborhoodGraph, view: _SelectedView):
-    """Flattened selected same-location neighbor lists per selected anchor.
-
-    Returns (anchor_col_per_edge, neighbor_col_per_edge, counts, skipped)
-    where counts[c] is the usable-neighbor count of column c and skipped
-    the number of cross-location neighbor links discarded.
-    """
-    indptr, indices = graph.indptr, graph.indices
-    sel = view.sel_idx
-    starts, stops = indptr[sel], indptr[sel + 1]
-    degs = (stops - starts).astype(np.int64)
-    total = int(degs.sum())
-    flat_nbr = np.empty(total, dtype=np.int64)
-    offs = np.zeros(len(sel) + 1, dtype=np.int64)
-    np.cumsum(degs, out=offs[1:])
-    for t in range(len(sel)):
-        flat_nbr[offs[t]:offs[t + 1]] = indices[starts[t]:stops[t]]
-    anchor_col = np.repeat(np.arange(len(sel), dtype=np.int64), degs)
-
-    nbr_col = view.col_of[flat_nbr]
-    selected_mask = nbr_col >= 0
-    same_loc = graph.location_codes[flat_nbr] == view.location[anchor_col]
-    keep = selected_mask & same_loc
-    skipped = int((selected_mask & ~same_loc).sum())
-    anchor_col, nbr_col = anchor_col[keep], nbr_col[keep]
-    counts = np.bincount(anchor_col, minlength=len(sel)).astype(np.int64)
-    return anchor_col, nbr_col, counts, skipped
-
-
-def _segmented_grid(order: np.ndarray, sizes: np.ndarray):
-    """All (anchor, partner) position pairs inside contiguous groups.
-
-    For groups laid out back to back in `order` with the given sizes,
-    returns (anchor_cols, partner_cols, row_of_pair, rows_sizes) covering
-    the full m x m grid per group including the diagonal.
-    """
-    sizes_sq = sizes * sizes
-    total = int(sizes_sq.sum())
-    group_of = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes_sq)
-    starts = np.r_[0, np.cumsum(sizes)[:-1]].astype(np.int64)
-    sq_starts = np.r_[0, np.cumsum(sizes_sq)[:-1]].astype(np.int64)
-    local = np.arange(total, dtype=np.int64) - sq_starts[group_of]
-    m = sizes[group_of]
-    row_local = local // m
-    col_local = local - row_local * m
-    anchor_pos = starts[group_of] + row_local
-    partner_pos = starts[group_of] + col_local
-    return order[anchor_pos], order[partner_pos], anchor_pos, m
-
-
-def _finish(kind, rows, cols, data, indices, indptr, anchor, partner, view,
-            skipped) -> DifferenceOperator:
-    mat = sparse.csr_matrix((data, indices, indptr), shape=(rows, cols))
-    if kind == "pairwise":
-        # a selected observation is "dropped" when it appears in no pair
-        touched = np.zeros(cols, dtype=bool)
-        touched[anchor] = True
-        if partner is not None:
-            touched[partner] = True
-        dropped = cols - int(touched.sum())
-    else:
-        dropped = cols - len(np.unique(anchor))
+    n = len(sel)
+    counts = np.bincount(a, minlength=n)
+    anchors = np.flatnonzero(counts)
+    rows = len(anchors)
+    row = np.repeat(np.arange(rows), counts[anchors])
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(counts[anchors] + 1, out=indptr[1:])
+    # a pair entry moves right by one slot per earlier row's anchor, and by
+    # one more when its partner lies past its own anchor
+    after = k > a
+    pos = np.arange(len(a)) + row + after
+    anchor_pos = indptr[:-1] + np.bincount(row[~after], minlength=rows)
+    data = np.empty(len(a) + rows)
+    indices = np.empty(len(a) + rows, dtype=np.int64)
+    data[pos], indices[pos] = -w, k
+    data[anchor_pos], indices[anchor_pos] = 1.0, anchors
     return DifferenceOperator(
-        kind=kind, rows=rows, cols=cols, matrix=mat,
-        anchor=anchor, partner=partner,
-        selected_indices=view.sel_idx,
-        dropped_anchors=int(dropped),
-        skipped_cross_location=skipped,
+        kind=kind, rows=rows, cols=n,
+        matrix=sparse.csr_matrix((data, indices, indptr), shape=(rows, n)),
+        anchor=anchors, partner=None, selected_indices=sel,
+        dropped_anchors=n - rows, skipped_cross_location=skipped,
     )
 
 
@@ -217,77 +164,39 @@ def pairwise_operator(graph: NeighborhoodGraph, selected) -> DifferenceOperator:
     Each pair appears once, anchored at the lower column index. An empty
     operator (no usable pairs) is allowed.
     """
-    view = _selected_view(graph, selected)
-    n = len(view.sel_idx)
-    if graph.group_codes is not None:
-        order, sizes = _membership_groups(graph, view)
-        a, k, _, _ = _segmented_grid(order, sizes)
-        keep = a < k
-        a, k = a[keep], k[keep]
-        pair_order = np.lexsort((k, a))
-        a, k = a[pair_order], k[pair_order]
-        skipped = 0
-    else:
-        anchor_col, nbr_col, _, skipped = _neighbor_lists(graph, view)
-        keep = anchor_col < nbr_col
-        a, k = anchor_col[keep], nbr_col[keep]
-        pair_order = np.lexsort((k, a))
-        a, k = a[pair_order], k[pair_order]
+    sel = _selected(graph, selected)
+    n = len(sel)
+    a, k, skipped = _pairs(graph, sel)
+    keep = a < k
+    a, k = a[keep], k[keep]
     m = len(a)
     data = np.empty(2 * m)
     data[0::2], data[1::2] = 1.0, -1.0
     indices = np.empty(2 * m, dtype=np.int64)
     indices[0::2], indices[1::2] = a, k
     indptr = np.arange(0, 2 * m + 1, 2, dtype=np.int64)
-    return _finish("pairwise", m, n, data, indices, indptr, a, k, view, skipped)
+    # a selected observation is "dropped" when it appears in no pair
+    touched = np.zeros(n, dtype=bool)
+    touched[a] = touched[k] = True
+    return DifferenceOperator(
+        kind="pairwise", rows=m, cols=n,
+        matrix=sparse.csr_matrix((data, indices, indptr), shape=(m, n)),
+        anchor=a, partner=k, selected_indices=sel,
+        dropped_anchors=n - int(touched.sum()), skipped_cross_location=skipped,
+    )
 
 
-def fixed_effect_operator(graph: NeighborhoodGraph, selected, *,
-                          include_self: bool = False) -> DifferenceOperator:
+def fixed_effect_operator(graph: NeighborhoodGraph, selected) -> DifferenceOperator:
     """One row per selected anchor: +1 at the anchor, -1/N_d at each
     selected same-location neighbor.
 
-    N_d counts selected neighbors only. With `include_self` the anchor joins
-    its own averaging set (diagonal weight 1 - 1/(N_d + 1)). Anchors with no
-    usable neighbor produce no row and are counted in `dropped_anchors`.
+    N_d counts selected neighbors only. Anchors with no usable neighbor
+    produce no row and are counted in `dropped_anchors`.
     """
-    view = _selected_view(graph, selected)
-    n = len(view.sel_idx)
-
-    if graph.group_codes is not None:
-        order, sizes = _membership_groups(graph, view)
-        a_cols, p_cols, _, m = _segmented_grid(order, sizes)
-        keep = m >= 2
-        a_cols, p_cols, m = a_cols[keep], p_cols[keep], m[keep]
-        denom = (m - 1).astype(np.float64) if not include_self else m.astype(np.float64)
-        data = -1.0 / denom
-        diag = a_cols == p_cols
-        data[diag] = 1.0 if not include_self else 1.0 - 1.0 / denom[diag]
-        # rows are grid rows: one per anchor, m entries each, ascending columns
-        row_sizes = m[diag]
-        anchors = a_cols[diag]
-        indptr = np.zeros(len(anchors) + 1, dtype=np.int64)
-        np.cumsum(row_sizes, out=indptr[1:])
-        return _finish("fixed_effect", len(anchors), n, data, p_cols, indptr,
-                       anchors, None, view, 0)
-
-    anchor_col, nbr_col, counts, skipped = _neighbor_lists(graph, view)
-    has_row = counts > 0
-    anchors = np.flatnonzero(has_row).astype(np.int64)
-    n_d = counts[anchors].astype(np.float64)
-    denom = n_d if not include_self else n_d + 1.0
-    # entries: per anchor, its neighbors then itself; sort columns per row
-    row_of_edge = np.searchsorted(anchors, anchor_col)
-    r = np.concatenate([row_of_edge, np.arange(len(anchors), dtype=np.int64)])
-    c = np.concatenate([nbr_col, anchors])
-    w = np.concatenate([-1.0 / denom[row_of_edge],
-                        np.ones(len(anchors)) if not include_self else 1.0 - 1.0 / denom])
-    order2 = np.lexsort((c, r))
-    r, c, w = r[order2], c[order2], w[order2]
-    indptr = np.zeros(len(anchors) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(r, minlength=len(anchors)), out=indptr[1:])
-    return _finish("fixed_effect", len(anchors), len(view.sel_idx), w, c, indptr,
-                   anchors, None, view, skipped)
+    sel = _selected(graph, selected)
+    a, k, skipped = _pairs(graph, sel)
+    n_d = np.bincount(a, minlength=len(sel)).astype(np.float64)
+    return _anchored("fixed_effect", sel, a, k, 1.0 / n_d[a], skipped)
 
 
 def _kernel_values(u: np.ndarray, kernel: str) -> np.ndarray:
@@ -314,37 +223,16 @@ def kernel_operator(graph: NeighborhoodGraph, selected, index_values,
         raise ValidationError("bandwidth must be positive")
     if kernel not in KERNELS:
         raise ValidationError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    view = _selected_view(graph, selected)
-    n = len(view.sel_idx)
+    sel = _selected(graph, selected)
+    n = len(sel)
     index_values = np.asarray(index_values, dtype=np.float64)
     if index_values.shape != (n,):
         raise ValidationError(
             f"index_values must have one entry per selected observation ({n}), got {index_values.shape}"
         )
-
-    if graph.group_codes is not None:
-        a_cols, p_cols, _, m = _segmented_grid(*_membership_groups(graph, view))
-        keep = (m >= 2) & (a_cols != p_cols)
-        a_cols, p_cols = a_cols[keep], p_cols[keep]
-        skipped = 0
-    else:
-        a_cols, p_cols, _, skipped = _neighbor_lists(graph, view)
-
-    u = (index_values[a_cols] - index_values[p_cols]) / bandwidth
-    raw = _kernel_values(u, kernel) / bandwidth
+    a, k, skipped = _pairs(graph, sel)
+    raw = _kernel_values((index_values[a] - index_values[k]) / bandwidth, kernel) / bandwidth
     pos = raw > 0
-    a_cols, p_cols, raw = a_cols[pos], p_cols[pos], raw[pos]
-    totals = np.bincount(a_cols, weights=raw, minlength=n)
-    anchors = np.flatnonzero(totals > 0).astype(np.int64)
-    row_of = np.full(n, -1, dtype=np.int64)
-    row_of[anchors] = np.arange(len(anchors))
-
-    r = np.concatenate([row_of[a_cols], np.arange(len(anchors), dtype=np.int64)])
-    c = np.concatenate([p_cols, anchors])
-    w = np.concatenate([-raw / totals[a_cols], np.ones(len(anchors))])
-    order2 = np.lexsort((c, r))
-    r, c, w = r[order2], c[order2], w[order2]
-    indptr = np.zeros(len(anchors) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(r, minlength=len(anchors)), out=indptr[1:])
-    return _finish("kernel", len(anchors), n, w, c, indptr, anchors, None,
-                   view, skipped)
+    a, k, raw = a[pos], k[pos], raw[pos]
+    totals = np.bincount(a, weights=raw, minlength=n)
+    return _anchored("kernel", sel, a, k, raw / totals[a], skipped)

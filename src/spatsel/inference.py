@@ -22,11 +22,12 @@ import numpy as np
 from .dataset import ClusteredDataset
 from .differencing import DifferenceOperator
 from .estimator import TwoStepFit, _sandwich
-from .exceptions import EstimationError, ValidationError
-from .probit import fit_probit
+from .exceptions import ValidationError
 
 # keep draw batches under ~2e7 floats to bound peak memory
 _BATCH_LIMIT = 20_000_000
+# relative shortfall of |t*| below |t_obs| still counted as a tie
+_TIE_SLACK = 1e-12
 
 
 @dataclass
@@ -87,8 +88,7 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
                            seed: int = 0, *,
                            full_enumeration: bool = False,
                            compute_ci: bool = False,
-                           ci_level: float = 0.95,
-                           reestimate_probit: bool = False) -> BootstrapResult:
+                           ci_level: float = 0.95) -> BootstrapResult:
     """Restricted wild cluster bootstrap p-value (and optional interval).
 
     Rademacher signs are drawn once per location per replication; all
@@ -98,10 +98,11 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
     `full_enumeration` every one of the 2^J sign patterns is evaluated
     instead and the p-value is the exact fraction.
 
-    `reestimate_probit` refits the first stage against the (unchanged)
-    selection data and verifies it reproduces the original coefficients;
-    the wild draws perturb only the outcome equation, so a per-draw refit
-    cannot alter the selection stage.
+    A draw whose |t*| falls short of |t_obs| by no more than a relative
+    1e-12 counts as an exceedance, like an exact tie. For the `mills`
+    coefficient at null 0, |t*| = |t_obs| = 1/sqrt(k_cc) in every draw
+    (the se is |mills coefficient| * sqrt(k_cc)), so that p-value is 1
+    by construction instead of a share decided by rounding.
     """
     if B < 99 and not full_enumeration:
         raise ValidationError("B must be at least 99")
@@ -115,17 +116,6 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
     if n_clusters < 2:
         raise ValidationError("need at least 2 locations to cluster on")
     cluster_idx = np.searchsorted(uniq, clusters)
-
-    if reestimate_probit:
-        refit = fit_probit(
-            ds, include_location_dummies=bool(fit.probit.dummy_locations)
-            or bool(fit.probit.dropped_dummies),
-            include_intercept=fit.probit.include_intercept,
-        )
-        if not np.allclose(refit.beta, fit.probit.beta, rtol=0, atol=1e-8):
-            raise EstimationError(
-                "first-stage refit diverged from the original fit"
-            )
 
     x = fit.design_diff
     y = fit.outcome_diff
@@ -172,7 +162,7 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
             w = signs[start:start + batch][:, cluster_idx]
             y_star = fitted[None, :] + w * resid[None, :]
             t_star = _t_for_draws(y_star, proj, col, fit.mills_col, null, k_cc)
-            count += int(np.sum(np.abs(t_star) >= abs(t_ref)))
+            count += int(np.sum(np.abs(t_star) >= abs(t_ref) * (1.0 - _TIE_SLACK)))
         if full_enumeration:
             return count / reps
         return (1 + count) / (1 + reps)

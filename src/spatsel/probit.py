@@ -92,9 +92,7 @@ def _score_and_information(design, s_mask, w):
     return grad, info
 
 
-def fit_probit(ds: ClusteredDataset, spec: ProbitSpec | None = None,
-               *, include_location_dummies: bool | None = None,
-               include_intercept: bool | None = None) -> ProbitFit:
+def fit_probit(ds: ClusteredDataset, spec: ProbitSpec | None = None) -> ProbitFit:
     """Maximise the probit likelihood on the full sample.
 
     Starts at beta = 0 and iterates Newton steps with step-halving until the
@@ -102,13 +100,6 @@ def fit_probit(ds: ClusteredDataset, spec: ProbitSpec | None = None,
     with `converged=False` rather than raising when the iteration cap binds.
     """
     spec = spec or ProbitSpec()
-    if include_location_dummies is not None or include_intercept is not None:
-        spec = ProbitSpec(
-            include_location_dummies=(spec.include_location_dummies
-                                      if include_location_dummies is None else include_location_dummies),
-            include_intercept=(spec.include_intercept
-                               if include_intercept is None else include_intercept),
-        )
 
     s_mask = ds.selected
     n_sel = int(s_mask.sum())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spatsel import cli
 from spatsel.cli import main
 from spatsel.dataset import ClusteredDataset, write_csv
 
@@ -87,6 +88,17 @@ def test_fit_estimation_failure_exit_3(tmp_path, capsys):
     code = main(["fit", "--input", str(path), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "collinear" in capsys.readouterr().err
+
+
+def test_fit_internal_error_exit_4(data_csv, tmp_path, monkeypatch, capsys):
+    # an unexpected exception is a fault in the program, not an estimation failure
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "two_step_fit", broken)
+    code = main(["fit", "--input", str(data_csv), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
 
 def test_fit_bootstrap_deterministic(data_csv, tmp_path):

@@ -7,6 +7,7 @@ from spatsel.dataset import (
     ClusteredDataset,
     CsvSchema,
     build_neighborhoods,
+    group_pairs,
     load_adjacency,
     load_csv,
     write_csv,
@@ -38,8 +39,8 @@ def test_load_csv_basic(tmp_path):
     assert len(ds.locations) == 2
     assert ds.p == 1 and ds.q == 1
     assert ds.n_selected == 4
-    assert ds.observation(2).outcome is None
-    assert ds.observation(0).outcome == 1.5
+    assert np.isnan(ds.outcome[2])
+    assert ds.outcome[0] == 1.5
 
 
 def test_load_csv_nonselected_with_outcome(tmp_path):
@@ -261,6 +262,17 @@ def test_build_neighborhoods_deterministic():
     g2 = build_neighborhoods(ds, "sublocation")
     assert np.array_equal(g1.indptr, g2.indptr)
     assert np.array_equal(g1.indices, g2.indices)
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes=st.lists(st.integers(0, 6), max_size=30))
+def test_group_pairs_matches_loop(codes):
+    # reference: a double loop over positions, in (i, k) order
+    want = [(i, k) for i in range(len(codes)) for k in range(len(codes))
+            if i != k and codes[i] == codes[k]]
+    i, k = group_pairs(np.array(codes, dtype=np.int64))
+    assert i.dtype == k.dtype == np.int64
+    assert list(zip(i.tolist(), k.tolist())) == want
 
 
 def test_load_adjacency(tmp_path):

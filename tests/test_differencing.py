@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spatsel.dataset import NeighborhoodGraph, build_neighborhoods
+from spatsel.dataset import ClusteredDataset, NeighborhoodGraph, build_neighborhoods
 from spatsel.differencing import (
     fixed_effect_operator,
     kernel_operator,
@@ -133,17 +133,6 @@ def test_fixed_effect_annihilates_group_constants():
     assert np.abs(op.apply(per_group)).max() <= ROW_SUM_TOL
 
 
-def test_fixed_effect_include_self():
-    ds = make_dataset(n_locations=2, n_sublocations=1, n_per_sub=3, seed=1,
-                      selected=[True] * 6)
-    g = build_neighborhoods(ds, "sublocation")
-    op = fixed_effect_operator(g, all_selected(ds), include_self=True)
-    dense = op.matrix.toarray()
-    row_a = dense[list(op.anchor).index(0)]
-    np.testing.assert_allclose(row_a[:3], [2.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0])
-    assert np.abs(_row_sums(op)).max() <= ROW_SUM_TOL
-
-
 def test_one_neighbor_case_matches_pairwise():
     ds = make_dataset(n_locations=3, n_sublocations=2, n_per_sub=2, seed=5,
                       selected=[True] * 12)
@@ -268,25 +257,51 @@ def test_dump_csv(tmp_path):
     assert len(lines) == 1 + op.matrix.nnz
 
 
-def test_membership_and_graph_paths_agree():
-    # the lazy adjacency path must produce the same operator as the
-    # group-code fast path
-    ds = make_dataset(n_locations=3, n_sublocations=2, n_per_sub=3, seed=10)
+def _shuffled(ds, seed):
+    perm = np.random.default_rng(seed).permutation(ds.n_obs)
+    return ClusteredDataset(
+        obs_ids=ds.obs_ids[perm], location_ids=ds.location_ids[perm],
+        sublocation_ids=ds.sublocation_ids[perm], selected=ds.selected[perm],
+        outcome=ds.outcome[perm], x=ds.x[perm], z=ds.z[perm],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_loc=st.integers(2, 4),
+    n_sub=st.integers(1, 3),
+    n_per=st.integers(2, 5),
+    rule=st.sampled_from(["sublocation", "location"]),
+    kind=st.sampled_from(["pairwise", "fixed_effect", "kernel"]),
+)
+def test_membership_and_graph_paths_agree(seed, n_loc, n_sub, n_per, rule, kind):
+    # Observations are shuffled, so group codes do not ascend with row
+    # order. A membership graph and the same neighbor sets passed as an
+    # explicit CSR adjacency must give the same operator bit for bit, with
+    # rows ascending by anchor and columns ascending within each row.
+    ds = _shuffled(make_dataset(n_locations=n_loc, n_sublocations=n_sub,
+                                n_per_sub=n_per, seed=seed), seed)
     sel = ds.selected_indices()
-    fast = build_neighborhoods(ds, "sublocation")
+    fast = build_neighborhoods(ds, rule)
     slow = NeighborhoodGraph(
         n_obs=ds.n_obs, source="edges", location_codes=ds.location_codes,
         group_codes=None, _indptr=fast.indptr, _indices=fast.indices,
     )
-    for ctor in (pairwise_operator, fixed_effect_operator):
-        a = ctor(fast, sel)
-        b = ctor(slow, sel)
-        assert a.rows == b.rows
-        np.testing.assert_allclose(a.matrix.toarray(), b.matrix.toarray(), atol=1e-15)
-    idx = np.linspace(0.0, 1.0, len(sel))
-    ka = kernel_operator(fast, sel, idx, 0.5, "gaussian")
-    kb = kernel_operator(slow, sel, idx, 0.5, "gaussian")
-    np.testing.assert_allclose(ka.matrix.toarray(), kb.matrix.toarray(), atol=1e-15)
+    if kind == "pairwise":
+        a, b = pairwise_operator(fast, sel), pairwise_operator(slow, sel)
+    elif kind == "fixed_effect":
+        a, b = fixed_effect_operator(fast, sel), fixed_effect_operator(slow, sel)
+    else:
+        idx = np.random.default_rng(seed).standard_normal(len(sel))
+        a = kernel_operator(fast, sel, idx, 0.5, "gaussian")
+        b = kernel_operator(slow, sel, idx, 0.5, "gaussian")
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(a.matrix, name), getattr(b.matrix, name))
+    np.testing.assert_array_equal(a.anchor, b.anchor)
+    steps = np.diff(a.anchor)
+    assert (steps >= 0).all() if kind == "pairwise" else (steps > 0).all()
+    assert a.matrix.has_sorted_indices
 
 
 def test_cross_location_edges_skipped():

@@ -174,14 +174,6 @@ def test_ci_test_inversion_contains_estimate():
     assert inner.p_value > 0.05
 
 
-def test_reestimate_probit_flag_noop():
-    ds, op, fit = fitted_cell(J=8, s=2, n=4, seed=8)
-    a = wild_cluster_bootstrap(fit, op, ds, "x1", null_value=1.0, B=99, seed=1)
-    b = wild_cluster_bootstrap(fit, op, ds, "x1", null_value=1.0, B=99, seed=1,
-                               reestimate_probit=True)
-    assert a.p_value == b.p_value
-
-
 def test_bootstrap_on_undifferenced_baseline():
     from spatsel.estimator import heckman_classic
 
@@ -195,9 +187,29 @@ def test_bootstrap_on_undifferenced_baseline():
 
 
 def test_mills_coefficient_testable():
-    ds, op, fit = fitted_cell(J=10, s=2, n=5, seed=9)
+    # At null 0 the studentising se is |mills coefficient| * sqrt(k_cc), so
+    # every draw's |t*| equals |t_obs| = 1/sqrt(k_cc) up to rounding and the
+    # p-value is 1 by construction. Without a tie slack this input gives
+    # 0.335 (draws), 0.408 (enumeration) and 0.55 (shuffled rows).
+    ds, op, fit = fitted_cell(J=16, s=2, n=5, seed=1)
     res = wild_cluster_bootstrap(fit, op, ds, "mills", null_value=0.0, B=199, seed=4)
-    assert 0.0 < res.p_value <= 1.0
+    assert res.p_value == 1.0
+    exact = wild_cluster_bootstrap(fit, op, ds, "mills", null_value=0.0,
+                                   full_enumeration=True)
+    assert exact.replications == 2**16
+    assert exact.p_value == 1.0
+
+    perm = np.random.default_rng(0).permutation(ds.n_obs)
+    ds2 = ClusteredDataset(
+        obs_ids=ds.obs_ids[perm], location_ids=ds.location_ids[perm],
+        sublocation_ids=ds.sublocation_ids[perm], selected=ds.selected[perm],
+        outcome=ds.outcome[perm], x=ds.x[perm], z=ds.z[perm],
+    )
+    op2 = fixed_effect_operator(build_neighborhoods(ds2, "sublocation"),
+                                ds2.selected_indices())
+    fit2 = two_step_fit(ds2, op2)
+    res2 = wild_cluster_bootstrap(fit2, op2, ds2, "mills", null_value=0.0, B=199, seed=4)
+    assert res2.p_value == 1.0
 
 
 def test_result_fields():
