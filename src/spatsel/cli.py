@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        action="store_true", default=None,
                        help="override: location dummies in the first stage")
     sim_p.add_argument("--out", default=".", help="output directory for tables")
-    sim_p.add_argument("--threads", type=int, help="worker processes per cell")
+    sim_p.add_argument("--threads", type=int, help="worker processes for the whole grid")
 
     dump_p = sub.add_parser("dump-operator", help="write an operator as row,col,weight CSV")
     add_data_flags(dump_p)

@@ -51,7 +51,9 @@ class TwoStepFit:
     `theta` holds every coefficient in column order (`names`); `delta` is
     the x block and `rho` the mills coefficient. `v1`/`v2` are the two
     sandwich components of `v_twostep` (selection-error part and
-    first-step estimation part).
+    first-step estimation part). `g` is G = D'(DW) (DW itself without an
+    operator) and `z_sel` the probit design on the selected rows, kept so
+    that other sandwiches reuse them.
     """
 
     names: list[str]
@@ -70,6 +72,8 @@ class TwoStepFit:
     mills: np.ndarray = field(repr=False)
     dee: np.ndarray = field(repr=False)
     xtx_inv: np.ndarray = field(repr=False)
+    g: np.ndarray = field(repr=False)
+    z_sel: np.ndarray = field(repr=False)
     mills_col: int = -1
 
     def se(self) -> np.ndarray:
@@ -79,9 +83,6 @@ class TwoStepFit:
         se = self.se()
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(se > 0, self.theta / se, np.nan)
-
-    def coefficient(self, name: str) -> float:
-        return float(self.theta[self.names.index(name)])
 
 
 def _solve_ols(design: np.ndarray, y: np.ndarray, names: list[str]):
@@ -132,15 +133,12 @@ def _obs_residual_scale(op, residuals: np.ndarray, n_cols: int) -> np.ndarray:
     return out
 
 
-def _sandwich(design_diff, xtx_inv, op, dee, rho, z_sel, vbeta,
+def _sandwich(g, xtx_inv, op, dee, rho, z_sel, vbeta,
               variant: str, residuals: np.ndarray | None):
-    """B (DW)'[V1 + V2](DW) B' in factored form. Returns (v, v1, v2)."""
+    """B (DW)'[V1 + V2](DW) B' in factored form, given G = D'(DW).
+    Returns (v, v1, v2)."""
     if variant not in VARIANCE_VARIANTS:
         raise EstimationError(f"unknown variance variant {variant!r}")
-    if op is not None:
-        g = op.matrix.T @ design_diff              # D'(DW), n_sel x k
-    else:
-        g = design_diff
     if variant == "mills":
         omega = (rho * rho) * dee
     elif variant == "classic":
@@ -166,19 +164,17 @@ def _sandwich(design_diff, xtx_inv, op, dee, rho, z_sel, vbeta,
 
 
 def variance_two_step(fit: TwoStepFit, op: DifferenceOperator | None,
-                      probit: ProbitFit, ds: ClusteredDataset,
-                      variant: str = "mills") -> np.ndarray:
+                      probit: ProbitFit, variant: str = "mills") -> np.ndarray:
     """Corrected covariance of the second-step coefficients.
 
-    Recomputes the sandwich from the pieces stored on `fit`, so callers can
-    probe structural cases (a fit with rho forced to zero, a probit with
-    vbeta zeroed) without refitting. `variant="residual"` swaps the
-    default diagonal rho^2 * d_i for empirical squared residuals.
+    Recomputes the sandwich from the pieces stored on `fit` (G = D'(DW),
+    the selected probit design) and `probit.vbeta`, so callers can probe
+    structural cases (a fit with rho forced to zero, a probit with vbeta
+    zeroed) without refitting. `variant="residual"` swaps the default
+    diagonal rho^2 * d_i for empirical squared residuals.
     """
-    rows = ds.selected_indices()
-    z_sel = probit.design(ds, rows)
-    v, _, _ = _sandwich(fit.design_diff, fit.xtx_inv, op, fit.dee, fit.rho,
-                        z_sel, probit.vbeta, variant, fit.residuals)
+    v, _, _ = _sandwich(fit.g, fit.xtx_inv, op, fit.dee, fit.rho,
+                        fit.z_sel, probit.vbeta, variant, fit.residuals)
     return v
 
 
@@ -186,14 +182,16 @@ def _assemble(names, theta, xtx_inv, design_diff, y_diff, op, lam, dee,
               probit, z_sel, variant, n_selected, x_slice, mills_col):
     residuals = y_diff - design_diff @ theta
     rho = float(theta[mills_col])
-    v, v1, v2 = _sandwich(design_diff, xtx_inv, op, dee, rho, z_sel,
+    # D'(DW), n_sel x k
+    g = design_diff if op is None else op.matrix.T @ design_diff
+    v, v1, v2 = _sandwich(g, xtx_inv, op, dee, rho, z_sel,
                           probit.vbeta, variant, residuals)
     return TwoStepFit(
         names=names, theta=theta, delta=theta[x_slice], rho=rho,
         v_twostep=v, v1=v1, v2=v2, residuals=residuals,
         m_rows=design_diff.shape[0], n_selected=n_selected, probit=probit,
         design_diff=design_diff, outcome_diff=y_diff, mills=lam, dee=dee,
-        xtx_inv=xtx_inv, mills_col=mills_col,
+        xtx_inv=xtx_inv, g=g, z_sel=z_sel, mills_col=mills_col,
     )
 
 
@@ -310,6 +308,8 @@ def report_text(fit: TwoStepFit, extra: dict | None = None) -> str:
         f"m_rows = {fit.m_rows}",
         f"probit_converged = {fit.probit.converged}",
         f"probit_iterations = {fit.probit.iterations}",
+        f"probit_gradient_max = {fit.probit.gradient_max:.3e}",
+        f"probit_newton_decrement = {fit.probit.newton_decrement:.3e}",
         f"probit_dropped_dummies = {len(fit.probit.dropped_dummies)}",
     ]
     for key, value in (extra or {}).items():

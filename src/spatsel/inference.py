@@ -119,10 +119,8 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
 
     x = fit.design_diff
     y = fit.outcome_diff
-    rows_sel = ds.selected_indices()
-    z_sel = fit.probit.design(ds, rows_sel)
     # scale-free covariance: v_twostep(rho) = rho^2 * kmat
-    kmat, _, _ = _sandwich(x, fit.xtx_inv, op, fit.dee, 1.0, z_sel,
+    kmat, _, _ = _sandwich(fit.g, fit.xtx_inv, op, fit.dee, 1.0, fit.z_sel,
                            fit.probit.vbeta, "mills", fit.residuals)
     k_cc = float(kmat[col, col])
     proj = fit.xtx_inv @ x.T

@@ -22,12 +22,21 @@ sub-location estimator it also records the x standard error under the
 report only the default (`"mills"`) standard error. Failed replications
 are tallied and excluded from the averages, never silently dropped.
 Everything is deterministic given (seed, cell, replication).
+
+`run_tables` sends the whole grid through one pool of worker processes:
+every cell's replications are split into chunks, all chunks are queued at
+once, and each cell is summarised when its last chunk is back. So workers
+never idle at the end of a cell, and the tables do not depend on the
+number of workers or on scheduling. `run_cell` is the same runner on one
+cell. A cell's `elapsed_seconds` is the worker time its replications took,
+summed, not the wall time between its start and end.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import get_context
@@ -100,7 +109,11 @@ class EstimatorSummary:
 
 @dataclass
 class SimResult:
-    """All estimator summaries for one cell."""
+    """All estimator summaries for one cell.
+
+    `elapsed_seconds` is the worker time the cell's replications took,
+    summed over workers.
+    """
 
     cell: SimCell
     estimators: dict[str, EstimatorSummary]
@@ -183,38 +196,23 @@ def _replicate(cell: SimCell, rep: int) -> np.ndarray:
             i = fit.names.index(x_name)
             out[slot, :2] = fit.theta[i], fit.se()[i]
             if rule == "sublocation":
-                v = variance_two_step(fit, op, probit, ds, variant="residual")
+                v = variance_two_step(fit, op, probit, variant="residual")
                 out[slot, 2] = np.sqrt(max(v[i, i], 0.0))
         except EstimationError:
             pass
     return out
 
 
-def _replicate_chunk(cell: SimCell, rep_indices: list[int]) -> np.ndarray:
-    return np.stack([_replicate(cell, r) for r in rep_indices])
-
-
-def run_cell(cell: SimCell, *, threads: int | None = None) -> SimResult:
-    """Run every replication of a cell and summarise the three estimators."""
+def _replicate_chunk(cell: SimCell, rep_indices: Sequence[int]) -> tuple[np.ndarray, float]:
+    """Replications `rep_indices` of one cell and the seconds they took."""
     start = time.perf_counter()
+    out = np.stack([_replicate(cell, r) for r in rep_indices])
+    return out, time.perf_counter() - start
+
+
+def _summarise(cell: SimCell, results: np.ndarray, seconds: float) -> SimResult:
+    """Per-estimator summaries of a cell's (reps, 3, 3) replication array."""
     reps = cell.replications
-    results = np.full((reps, 3, 3), np.nan)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    threads = max(1, min(threads, reps))
-
-    if threads == 1:
-        for r in range(reps):
-            results[r] = _replicate(cell, r)
-    else:
-        chunks = [c for c in np.array_split(np.arange(reps), threads * 4) if len(c)]
-        ctx = get_context("fork")
-        with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
-            futures = [pool.submit(_replicate_chunk, cell, chunk.tolist())
-                       for chunk in chunks]
-            for chunk, fut in zip(chunks, futures):
-                results[chunk] = fut.result()
-
     estimators = {}
     for slot, name in enumerate(ESTIMATOR_NAMES):
         est = results[:, slot, 0]
@@ -236,8 +234,47 @@ def run_cell(cell: SimCell, *, threads: int | None = None) -> SimResult:
             residual_standard_errors=(results[:, slot, 2][ok]
                                       if name == SUBLOCATION_DIFFERENCING else None),
         )
-    return SimResult(cell=cell, estimators=estimators,
-                     elapsed_seconds=time.perf_counter() - start)
+    return SimResult(cell=cell, estimators=estimators, elapsed_seconds=seconds)
+
+
+def _run_cells(cells: list[SimCell], *, threads: int | None = None) -> Iterator[SimResult]:
+    """Run every replication of every cell through one worker pool.
+
+    Yields one SimResult per cell, in cell order, as soon as all of that
+    cell's chunks are back; the chunks of every cell are queued up front.
+    """
+    if threads is None:
+        threads = os.cpu_count() or 1
+    threads = max(1, min(threads, sum(c.replications for c in cells)))
+    if threads == 1:
+        for cell in cells:
+            yield _summarise(cell, *_replicate_chunk(cell, range(cell.replications)))
+        return
+
+    ctx = get_context("fork")
+    with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
+        try:
+            jobs = [[(chunk, pool.submit(_replicate_chunk, cell, chunk.tolist()))
+                     for chunk in np.array_split(np.arange(cell.replications), threads * 4)
+                     if len(chunk)]
+                    for cell in cells]
+            for cell, cell_jobs in zip(cells, jobs):
+                results = np.full((cell.replications, 3, 3), np.nan)
+                seconds = 0.0
+                for chunk, fut in cell_jobs:
+                    results[chunk], chunk_seconds = fut.result()
+                    seconds += chunk_seconds
+                yield _summarise(cell, results, seconds)
+        except BaseException:
+            # an error, or a caller that stops early: drop the queued chunks
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def run_cell(cell: SimCell, *, threads: int | None = None) -> SimResult:
+    """Run every replication of a cell and summarise the three estimators."""
+    [result] = _run_cells([cell], threads=threads)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +356,8 @@ def run_tables(cells: list[SimCell], *, threads: int | None = None,
     if not cells:
         raise ValidationError("grid is empty")
     results = []
-    for cell in cells:
-        res = run_cell(cell, threads=threads)
+    for res in _run_cells(cells, threads=threads):
+        cell = res.cell
         results.append(res)
         if progress is not None:
             progress(

@@ -1,12 +1,13 @@
 """First-step probit maximum likelihood for the selection equation.
 
 Fits P(selected = 1 | z) = cdf(design @ beta) on the full sample by
-Newton-Raphson with step-halving. The design is the z block, optionally a
-location-dummy block, and optionally an intercept, in that order. Location
-dummies that perfectly predict selection (the location's indicator is
-constant) are dropped and recorded rather than letting the likelihood
-diverge; with an intercept present the first remaining location serves as
-the reference category.
+damped Newton-Raphson: step-halving far from the optimum, full Newton
+steps once the predicted gain falls below rounding. The design is the z
+block, optionally a location-dummy block, and optionally an intercept, in
+that order. Location dummies that perfectly predict selection (the
+location's indicator is constant) are dropped and recorded rather than
+letting the likelihood diverge; with an intercept present the first
+remaining location serves as the reference category.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from .exceptions import EstimationError, SeparationError
 from .numerics import mills_lambda_dee
 
 GRADIENT_TOL = 1e-8
+# Newton decrement g'H^-1 g below which the full step is taken unchecked:
+# its predicted log-likelihood gain is below the rounding of the sum
+DECREMENT_FLOOR = 1e-10
 MAX_ITERATIONS = 100
 
 
@@ -39,6 +43,8 @@ class ProbitFit:
     `beta` is ordered (z block, kept location dummies, intercept). `vbeta`
     is the inverse observed information at the optimum. `dropped_dummies`
     lists location ids whose dummy was removed for separation.
+    `gradient_max` and `newton_decrement` are max|g| and g'H^-1 g at the
+    returned beta.
     """
 
     beta: np.ndarray
@@ -52,6 +58,8 @@ class ProbitFit:
     dummy_locations: list
     reference_location: object | None
     include_intercept: bool
+    gradient_max: float = float("nan")
+    newton_decrement: float = float("nan")
 
     def design(self, ds: ClusteredDataset, rows: np.ndarray | None = None) -> np.ndarray:
         """Design matrix rows matching the columns this fit was estimated on."""
@@ -81,23 +89,26 @@ def log_likelihood(design: np.ndarray, selected: np.ndarray, beta: np.ndarray) -
 
 
 def _score_and_information(design, s_mask, w):
-    lam_pos, dee_pos = mills_lambda_dee(w)
-    lam_neg, dee_neg = mills_lambda_dee(-w)
+    # one Mills evaluation at the signed index: w if selected, -w if not
+    lam, dee = mills_lambda_dee(np.where(s_mask, w, -w))
     # d/dw log cdf(w) = lam(w); d/dw log cdf(-w) = -lam(-w)
-    u = np.where(s_mask, lam_pos, -lam_neg)
+    grad = design.T @ np.where(s_mask, lam, -lam)
     # -d2/dw2 log-likelihood contribution = 1 - dee at the signed index
-    m = np.where(s_mask, 1.0 - dee_pos, 1.0 - dee_neg)
-    grad = design.T @ u
-    info = (design * m[:, None]).T @ design
+    info = (design * (1.0 - dee)[:, None]).T @ design
     return grad, info
 
 
 def fit_probit(ds: ClusteredDataset, spec: ProbitSpec | None = None) -> ProbitFit:
     """Maximise the probit likelihood on the full sample.
 
-    Starts at beta = 0 and iterates Newton steps with step-halving until the
-    gradient max-norm falls below 1e-8 or 100 iterations pass. Returns a fit
-    with `converged=False` rather than raising when the iteration cap binds.
+    Starts at beta = 0 and iterates Newton steps until the gradient
+    max-norm falls below 1e-8 or 100 iterations pass. A step is halved until
+    the log-likelihood does not fall, except once the Newton decrement
+    g'H^-1 g is at most 1e-10: there the predicted gain is below the
+    rounding of the log-likelihood sum, so the line search could not tell a
+    good step from a bad one, and the full step is taken (the Newton phase
+    of damped Newton). Returns a fit with `converged=False` rather than
+    raising when the iteration cap binds.
     """
     spec = spec or ProbitSpec()
 
@@ -157,12 +168,14 @@ def fit_probit(ds: ClusteredDataset, spec: ProbitSpec | None = None) -> ProbitFi
                 "selection design matrix is rank deficient after dummy drops"
             ) from None
         scale = 1.0
-        for _ in range(40):
-            candidate = beta + scale * step
-            cand_ll = log_likelihood(design, s_mask, candidate)
-            if cand_ll >= loglik - 1e-13:
-                break
-            scale *= 0.5
+        if grad @ step > DECREMENT_FLOOR:
+            for _ in range(40):
+                cand_ll = log_likelihood(design, s_mask, beta + scale * step)
+                if cand_ll >= loglik - 1e-13:
+                    break
+                scale *= 0.5
+        else:
+            cand_ll = log_likelihood(design, s_mask, beta + step)
         beta = beta + scale * step
         loglik = cand_ll
     else:
@@ -184,6 +197,8 @@ def fit_probit(ds: ClusteredDataset, spec: ProbitSpec | None = None) -> ProbitFi
         converged=converged, dropped_dummies=dropped, column_names=names,
         z_dim=ds.q, dummy_locations=dummy_locations,
         reference_location=reference, include_intercept=spec.include_intercept,
+        gradient_max=float(np.max(np.abs(grad))),
+        newton_decrement=float(grad @ vbeta @ grad),
     )
 
 

@@ -157,7 +157,7 @@ def test_rho_zero_gives_zero_variance():
     op = fixed_effect_operator(g, ds.selected_indices())
     fit = two_step_fit(ds, op)
     frozen = dataclasses.replace(fit, rho=0.0)
-    v = variance_two_step(frozen, op, fit.probit, ds)
+    v = variance_two_step(frozen, op, fit.probit)
     assert np.all(v == 0.0)
 
 
@@ -167,7 +167,7 @@ def test_vbeta_zero_drops_first_stage_component():
     op = fixed_effect_operator(g, ds.selected_indices())
     fit = two_step_fit(ds, op)
     probit0 = dataclasses.replace(fit.probit, vbeta=np.zeros_like(fit.probit.vbeta))
-    v = variance_two_step(fit, op, probit0, ds)
+    v = variance_two_step(fit, op, probit0)
     np.testing.assert_allclose(v, fit.v1, atol=1e-14 * np.abs(fit.v1).max())
     assert np.abs(fit.v2).max() > 0
 
@@ -208,7 +208,7 @@ def test_residual_variance_variant_runs():
     op = fixed_effect_operator(g, ds.selected_indices())
     fit = two_step_fit(ds, op, variance="residual")
     assert np.isfinite(fit.se()).all()
-    v_mills = variance_two_step(fit, op, fit.probit, ds, variant="mills")
+    v_mills = variance_two_step(fit, op, fit.probit, variant="mills")
     assert not np.allclose(fit.v_twostep, v_mills)
 
 
@@ -369,6 +369,8 @@ def test_reports():
     text = report_text(fit, extra={"operator_rows": op.rows})
     assert "operator_rows" in text
     assert "mills" in text
+    assert f"probit_gradient_max = {fit.probit.gradient_max:.3e}" in text
+    assert f"probit_newton_decrement = {fit.probit.newton_decrement:.3e}" in text
 
 
 def test_write_coefficients_csv_round_trip(tmp_path):

@@ -140,7 +140,7 @@ def test_full_enumeration_matches_brute_force_oracle():
     from spatsel.estimator import _sandwich
 
     z_sel = fit.probit.design(ds, ds.selected_indices())
-    kmat, _, _ = _sandwich(x, fit.xtx_inv, op, fit.dee, 1.0, z_sel,
+    kmat, _, _ = _sandwich(op.matrix.T @ x, fit.xtx_inv, op, fit.dee, 1.0, z_sel,
                            fit.probit.vbeta, "mills", fit.residuals)
     k_cc = float(kmat[col, col])
     se_obs = abs(fit.rho) * np.sqrt(k_cc)

@@ -182,11 +182,25 @@ def test_run_tables_outputs(tmp_path):
 
 
 def test_run_tables_reproducible_files(tmp_path):
-    cells = [SimCell(J=5, s=2, n=3, replications=12, seed=9)]
-    run_tables(cells, threads=2, out_dir=tmp_path / "a")
-    run_tables(cells, threads=1, out_dir=tmp_path / "b")
-    for name in ("table_J5.csv", "tables_report.txt"):
+    # two cells of different J and replication counts share one pool
+    cells = [SimCell(J=5, s=2, n=3, replications=12, seed=9),
+             SimCell(J=7, s=2, n=4, replications=17, seed=9)]
+    pooled = run_tables(cells, threads=2, out_dir=tmp_path / "a")
+    serial = run_tables(cells, threads=1, out_dir=tmp_path / "b")
+    for name in ("table_J5.csv", "table_J7.csv", "tables_report.txt"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    for a, b in zip(pooled, serial):
+        assert a.cell == b.cell
+        for name in ESTIMATOR_NAMES:
+            su_a, su_b = a.estimators[name], b.estimators[name]
+            assert su_a.failures + len(su_a.estimates) == a.cell.replications
+            assert np.array_equal(su_a.estimates, su_b.estimates)
+            assert np.array_equal(su_a.standard_errors, su_b.standard_errors)
+            if name == SUBLOCATION_DIFFERENCING:
+                assert np.array_equal(su_a.residual_standard_errors,
+                                      su_b.residual_standard_errors)
+            else:
+                assert su_a.residual_standard_errors is None
 
 
 def test_grid_config_parsing(tmp_path):

@@ -3,8 +3,10 @@ import pytest
 
 from spatsel.dataset import ClusteredDataset
 from spatsel.exceptions import EstimationError, SeparationError
-from spatsel.numerics import inverse_mills
+from spatsel.montecarlo import SimCell, generate_sample, rep_seed
+from spatsel.numerics import inverse_mills, mills_lambda_dee
 from spatsel.probit import (
+    GRADIENT_TOL,
     ProbitFit,
     ProbitSpec,
     fit_probit,
@@ -189,10 +191,26 @@ def test_predict_index_matches_scalar_oracle():
     fit = fit_probit(ds)
     idx = predict_index(fit, ds)
     rows = ds.selected_indices()
-    from spatsel.numerics import mills_lambda_dee
-
     lam_vec, dee_vec = mills_lambda_dee(idx)
     for i in range(len(rows)):
         mv = inverse_mills(float(idx[i]))
         assert lam_vec[i] == pytest.approx(mv.lam, rel=1e-14)
         assert dee_vec[i] == pytest.approx(mv.dee, rel=1e-12)
+
+
+def test_no_stall_when_gain_is_below_rounding():
+    # N = 1920: near the optimum the predicted gain g'H^-1 g / 2 is below the
+    # rounding of the log-likelihood sum, so step-halving used to reject the
+    # Newton step and stall at |g| ~ 1e-6 until the iteration cap
+    cell = SimCell(J=30, s=8, n=8, seed=10100)
+    ds = generate_sample(cell, rep_seed(cell, 15))
+    fit = fit_probit(ds)
+    assert fit.converged
+    assert fit.iterations <= 10
+    design = fit.design(ds)
+    w = design @ fit.beta
+    lam, _ = mills_lambda_dee(np.where(ds.selected, w, -w))
+    score = design.T @ np.where(ds.selected, lam, -lam)
+    assert np.abs(score).max() <= GRADIENT_TOL
+    assert fit.gradient_max == np.abs(score).max()
+    assert 0.0 <= fit.newton_decrement <= 1e-10
