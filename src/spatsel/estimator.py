@@ -37,7 +37,7 @@ from .dataset import ClusteredDataset
 from .differencing import DifferenceOperator
 from .exceptions import EstimationError
 from .numerics import mills_lambda_dee
-from .probit import ProbitFit, ProbitSpec, fit_probit, predict_index
+from .probit import ProbitFit, ProbitSpec, fit_probit
 
 RANK_TOL = 1e-10
 MILLS_NAME = "mills"
@@ -53,7 +53,8 @@ class TwoStepFit:
     sandwich components of `v_twostep` (selection-error part and
     first-step estimation part). `g` is G = D'(DW) (DW itself without an
     operator) and `z_sel` the probit design on the selected rows, kept so
-    that other sandwiches reuse them.
+    that other sandwiches reuse them. `variance` is the middle `v_twostep`
+    was built with.
     """
 
     names: list[str]
@@ -75,6 +76,7 @@ class TwoStepFit:
     g: np.ndarray = field(repr=False)
     z_sel: np.ndarray = field(repr=False)
     mills_col: int = -1
+    variance: str = "mills"
 
     def se(self) -> np.ndarray:
         return np.sqrt(np.maximum(np.diag(self.v_twostep), 0.0))
@@ -192,6 +194,7 @@ def _assemble(names, theta, xtx_inv, design_diff, y_diff, op, lam, dee,
         m_rows=design_diff.shape[0], n_selected=n_selected, probit=probit,
         design_diff=design_diff, outcome_diff=y_diff, mills=lam, dee=dee,
         xtx_inv=xtx_inv, g=g, z_sel=z_sel, mills_col=mills_col,
+        variance=variant,
     )
 
 
@@ -215,8 +218,8 @@ def two_step_fit(ds: ClusteredDataset, op: DifferenceOperator,
     if not probit.converged:
         raise EstimationError("first-stage probit did not converge")
 
-    index = predict_index(probit, ds)
-    lam, dee = mills_lambda_dee(index)
+    z_sel = probit.design(ds, rows)
+    lam, dee = mills_lambda_dee(z_sel @ probit.beta)
 
     x_sel = ds.x[rows]
     names = list(ds.x_names) + [MILLS_NAME]
@@ -231,7 +234,6 @@ def two_step_fit(ds: ClusteredDataset, op: DifferenceOperator,
         names.append("const")
         dw = np.column_stack([dw, np.ones(op.rows)])
     theta, xtx_inv = _solve_ols(dw, dy, names)
-    z_sel = probit.design(ds, rows)
     return _assemble(names, theta, xtx_inv, dw, dy, op, lam, dee, probit,
                      z_sel, variance, len(rows), slice(0, len(ds.x_names)),
                      mills_col)
@@ -254,15 +256,14 @@ def heckman_classic(ds: ClusteredDataset, probit_spec: ProbitSpec | None = None,
     if not probit.converged:
         raise EstimationError("first-stage probit did not converge")
     rows = ds.selected_indices()
-    index = predict_index(probit, ds)
-    lam, dee = mills_lambda_dee(index)
+    z_sel = probit.design(ds, rows)
+    lam, dee = mills_lambda_dee(z_sel @ probit.beta)
 
     names = ["const"] + list(ds.x_names) + [MILLS_NAME]
     w = np.column_stack([np.ones(len(rows)), ds.x[rows], lam])
     mills_col = len(names) - 1
     y = ds.outcome[rows]
     theta, xtx_inv = _solve_ols(w, y, names)
-    z_sel = probit.design(ds, rows)
     return _assemble(names, theta, xtx_inv, w, y, None, lam, dee, probit,
                      z_sel, variance, len(rows), slice(1, 1 + len(ds.x_names)),
                      mills_col)
@@ -302,7 +303,14 @@ def write_coefficients_csv(fit: TwoStepFit, path, bootstrap: dict | None = None)
 
 
 def report_text(fit: TwoStepFit, extra: dict | None = None) -> str:
-    """Flat key-value text report of a fit."""
+    """Flat key-value text report of a fit.
+
+    `v1_trace_share` and `v2_trace_share` split the covariance between its
+    selection-error and first-step parts: tr(V_i) / (tr(V1) + tr(V2)).
+    """
+    tr1, tr2 = float(np.trace(fit.v1)), float(np.trace(fit.v2))
+    total = tr1 + tr2
+    share1, share2 = (tr1 / total, tr2 / total) if total > 0 else (np.nan, np.nan)
     lines = [
         f"n_selected = {fit.n_selected}",
         f"m_rows = {fit.m_rows}",
@@ -311,6 +319,10 @@ def report_text(fit: TwoStepFit, extra: dict | None = None) -> str:
         f"probit_gradient_max = {fit.probit.gradient_max:.3e}",
         f"probit_newton_decrement = {fit.probit.newton_decrement:.3e}",
         f"probit_dropped_dummies = {len(fit.probit.dropped_dummies)}",
+        f"rho = {fit.rho:.6g}",
+        f"variance = {fit.variance}",
+        f"v1_trace_share = {share1:.4f}",
+        f"v2_trace_share = {share2:.4f}",
     ]
     for key, value in (extra or {}).items():
         lines.append(f"{key} = {value}")

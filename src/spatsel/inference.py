@@ -4,13 +4,16 @@ Designed for few clusters: residuals from the null-imposed (restricted)
 second-step regression are flipped blockwise by location-level Rademacher
 signs, the second step is re-estimated on each synthetic outcome, and the
 observed t statistic is ranked inside the bootstrap t distribution. The
-first stage is held fixed across draws: the wild perturbation touches only
-the outcome side, so the selection data, and with it the probit fit and
-the mills ratios, are unchanged by construction.
+first stage is held fixed across draws, so the probit fit and the mills
+ratios are unchanged by construction.
 
-The per-draw t statistic uses the corrected covariance, which for a fixed
-first stage scales exactly with the draw's squared mills coefficient; the
-scale-free part is therefore computed once.
+Draws are formed at cluster level (Roodman, MacKinnon, Nielsen & Webb,
+"Fast and wild", Stata Journal 19(1), 2019): theta* = P f + sum_g w_g C_g,
+with P = (X'X)^-1 X', f and e the restricted fit and residuals, and C_g
+the sum of P[:, r] e[r] over the rows r of cluster g, so one draw costs
+O(G k), not O(M k) over the M differenced rows. The per-draw t uses the
+corrected covariance, which for a fixed first stage scales with the draw's
+squared mills coefficient; its scale-free part is computed once.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ from .differencing import DifferenceOperator
 from .estimator import TwoStepFit, _sandwich
 from .exceptions import ValidationError
 
-# keep draw batches under ~2e7 floats to bound peak memory
-_BATCH_LIMIT = 20_000_000
 # relative shortfall of |t*| below |t_obs| still counted as a tie
 _TIE_SLACK = 1e-12
 
@@ -44,14 +45,10 @@ class BootstrapResult:
     seed: int
 
 
-def _row_clusters(fit: TwoStepFit, op: DifferenceOperator | None,
-                  ds: ClusteredDataset) -> np.ndarray:
+def _row_clusters(op: DifferenceOperator | None, ds: ClusteredDataset) -> np.ndarray:
     """Location code of each differenced row (rows never mix locations)."""
-    if op is None:
-        rows = ds.selected_indices()
-        return ds.location_codes[rows]
-    anchors_ds = op.selected_indices[op.anchor]
-    return ds.location_codes[anchors_ds]
+    rows = ds.selected_indices() if op is None else op.selected_indices[op.anchor]
+    return ds.location_codes[rows]
 
 
 def _restricted(x: np.ndarray, y: np.ndarray, col: int, null_value: float):
@@ -68,10 +65,9 @@ def _restricted(x: np.ndarray, y: np.ndarray, col: int, null_value: float):
     return theta_rest, fitted, y - fitted
 
 
-def _t_for_draws(y_star: np.ndarray, proj: np.ndarray, col: int, mills_col: int,
+def _t_for_draws(theta: np.ndarray, col: int, mills_col: int,
                  null_value: float, k_cc: float) -> np.ndarray:
-    """t statistics for a batch of synthetic outcomes (draws in rows)."""
-    theta = y_star @ proj.T                      # (B, k)
+    """t statistics for bootstrap coefficient draws (draws in rows)."""
     num = theta[:, col] - null_value
     se = np.abs(theta[:, mills_col]) * np.sqrt(k_cc)
     t = np.zeros(len(num))
@@ -110,7 +106,7 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
         raise ValidationError(f"unknown coefficient {coef!r}; have {fit.names}")
     col = fit.names.index(coef)
 
-    clusters = _row_clusters(fit, op, ds)
+    clusters = _row_clusters(op, ds)
     uniq = np.unique(clusters)
     n_clusters = len(uniq)
     if n_clusters < 2:
@@ -140,11 +136,10 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
             raise ValidationError("full enumeration supported for at most 20 clusters")
         patterns = ((np.arange(2**n_clusters)[:, None] >> np.arange(n_clusters)[None, :]) & 1)
         signs = (2 * patterns - 1).astype(np.float64)
-        reps = signs.shape[0]
     else:
         rng = np.random.default_rng(seed)
         signs = rng.integers(0, 2, size=(B, n_clusters)).astype(np.float64) * 2.0 - 1.0
-        reps = B
+    reps = signs.shape[0]
 
     y_scale = float(np.abs(y).max()) if len(y) else 0.0
 
@@ -154,13 +149,12 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
         if np.abs(resid).max() <= 1e-12 * max(1.0, y_scale):
             # degenerate: every draw reproduces the observed statistic
             return 1.0
-        count = 0
-        batch = max(1, _BATCH_LIMIT // max(1, x.shape[0]))
-        for start in range(0, reps, batch):
-            w = signs[start:start + batch][:, cluster_idx]
-            y_star = fitted[None, :] + w * resid[None, :]
-            t_star = _t_for_draws(y_star, proj, col, fit.mills_col, null, k_cc)
-            count += int(np.sum(np.abs(t_star) >= abs(t_ref) * (1.0 - _TIE_SLACK)))
+        base = proj @ fitted
+        # per-cluster projected residuals, k x G
+        c = np.stack([np.bincount(cluster_idx, weights=p_row * resid,
+                                  minlength=n_clusters) for p_row in proj])
+        t_star = _t_for_draws(base + signs @ c.T, col, fit.mills_col, null, k_cc)
+        count = int(np.sum(np.abs(t_star) >= abs(t_ref) * (1.0 - _TIE_SLACK)))
         if full_enumeration:
             return count / reps
         return (1 + count) / (1 + reps)
@@ -173,8 +167,9 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
         half = 6.0 * se_obs if se_obs > 0 else max(1.0, abs(theta_obs))
         lo_bracket = (theta_obs - half, theta_obs)
         hi_bracket = (theta_obs, theta_obs + half)
-        ci_low = _invert(p_at, lo_bracket, alpha, widen=-half)
-        ci_high = _invert(p_at, hi_bracket, alpha, widen=half)
+        rejected = null_value if p_value < alpha else None
+        ci_low = _invert(p_at, lo_bracket, alpha, -half, rejected)
+        ci_high = _invert(p_at, hi_bracket, alpha, half, rejected)
 
     return BootstrapResult(
         coefficient=coef, t_observed=t_obs, p_value=p_value,
@@ -184,29 +179,31 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
 
 
 def _invert(p_at, bracket: tuple[float, float], alpha: float, widen: float,
-            tol: float = 1e-4, max_widen: int = 6) -> float:
-    """Bisect for the null value where the bootstrap p-value crosses alpha."""
+            rejected: float | None = None, tol: float = 1e-4,
+            max_widen: int = 6) -> float:
+    """Bisect for the null value where the bootstrap p-value crosses alpha.
+
+    If p stays >= alpha through `max_widen` widenings, `rejected` (a null
+    value with p < alpha, if any) closes the bracket when it lies on this
+    side; otherwise the end was never bracketed and is -inf or +inf.
+    """
     inner, outer = (bracket[1], bracket[0]) if widen < 0 else (bracket[0], bracket[1])
     for _ in range(max_widen):
         if p_at(outer) < alpha:
             break
         outer += widen
     else:
-        return outer
+        if rejected is None or (rejected - inner) * widen <= 0:
+            return -np.inf if widen < 0 else np.inf
+        outer = rejected
     lo, hi = (outer, inner) if widen < 0 else (inner, outer)
     # p >= alpha at the inner end, < alpha at the outer end
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if hi - lo < tol * (1 + abs(mid)):
             break
-        if widen < 0:
-            if p_at(mid) >= alpha:
-                hi = mid
-            else:
-                lo = mid
+        if (p_at(mid) >= alpha) == (widen > 0):
+            lo = mid
         else:
-            if p_at(mid) >= alpha:
-                lo = mid
-            else:
-                hi = mid
+            hi = mid
     return 0.5 * (lo + hi)

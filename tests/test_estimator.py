@@ -371,6 +371,15 @@ def test_reports():
     assert "mills" in text
     assert f"probit_gradient_max = {fit.probit.gradient_max:.3e}" in text
     assert f"probit_newton_decrement = {fit.probit.newton_decrement:.3e}" in text
+    assert f"rho = {fit.rho:.6g}" in text
+    assert "variance = mills" in text
+    tr1, tr2 = np.trace(fit.v1), np.trace(fit.v2)
+    assert tr1 > 0 and tr2 > 0
+    assert f"v1_trace_share = {tr1 / (tr1 + tr2):.4f}" in text
+    assert f"v2_trace_share = {tr2 / (tr1 + tr2):.4f}" in text
+    residual = two_step_fit(ds, op, variance="residual")
+    assert "variance = residual" in report_text(residual)
+    assert heckman_classic(ds).variance == "classic"
 
 
 def test_write_coefficients_csv_round_trip(tmp_path):

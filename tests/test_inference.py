@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from spatsel.dataset import ClusteredDataset, build_neighborhoods
-from spatsel.differencing import fixed_effect_operator
-from spatsel.estimator import two_step_fit
+from spatsel.differencing import fixed_effect_operator, pairwise_operator
+from spatsel.estimator import heckman_classic, two_step_fit
 from spatsel.exceptions import ValidationError
-from spatsel.inference import wild_cluster_bootstrap
+from spatsel.inference import _invert, wild_cluster_bootstrap
 from spatsel.montecarlo import SimCell, generate_sample
 from spatsel.probit import fit_probit
+
+from oracles import row_level_bootstrap
 
 
 def fitted_cell(J=8, s=2, n=4, seed=3, rep=0, **cell_kw):
@@ -167,16 +169,52 @@ def test_ci_test_inversion_contains_estimate():
                                  seed=3, compute_ci=True)
     assert res.ci_low is not None and res.ci_high is not None
     assert res.ci_low < fit.theta[i] < res.ci_high
-    # p-value at interval endpoints is near the 5% level by construction
+    # on this input p stays above 0.05 through every widening below the
+    # estimate, so that end is never bracketed and is reported as -inf
+    assert res.ci_low == -np.inf
+    assert np.isfinite(res.ci_high)
     inner = wild_cluster_bootstrap(fit, op, ds, "x1",
-                                   null_value=0.5 * (res.ci_low + res.ci_high),
+                                   null_value=0.5 * (fit.theta[i] + res.ci_high),
                                    B=399, seed=3)
     assert inner.p_value > 0.05
 
 
-def test_bootstrap_on_undifferenced_baseline():
-    from spatsel.estimator import heckman_classic
+@pytest.mark.parametrize("draws", [{"B": 199, "seed": 8}, {"full_enumeration": True}],
+                         ids=["draws", "enumeration"])
+@pytest.mark.parametrize("null", [0.0, 1.0])
+@pytest.mark.parametrize("coef", ["x1", "mills"])
+@pytest.mark.parametrize("kind", ["heckman", "fixed_effect", "pairwise"])
+def test_cluster_sums_match_row_level_oracle(kind, coef, null, draws):
+    # theta* summed over clusters must rank draws exactly as the per-row
+    # y* -> theta* projection does: p-values and interval ends bitwise equal
+    ds = generate_sample(SimCell(J=10, s=2, n=5, seed=7), 0)
+    if kind == "heckman":
+        op, fit = None, heckman_classic(ds)
+    else:
+        build = fixed_effect_operator if kind == "fixed_effect" else pairwise_operator
+        op = build(build_neighborhoods(ds, "sublocation"), ds.selected_indices())
+        fit = two_step_fit(ds, op)
+    res = wild_cluster_bootstrap(fit, op, ds, coef, null_value=null,
+                                 compute_ci=True, **draws)
+    want = row_level_bootstrap(fit, op, ds, coef, null_value=null, **draws)
+    assert (res.p_value, res.ci_low, res.ci_high) == want
 
+
+def test_invert_never_bracketed_end_is_infinite():
+    # estimate at 0: p stays above alpha through six widenings of 6 and
+    # drops below it only past -100
+    def p_at(v):
+        return 0.01 if v < -100.0 else 0.07
+
+    assert _invert(p_at, (-6.0, 0.0), 0.05, -6.0) == -np.inf
+    assert _invert(p_at, (0.0, 6.0), 0.05, 6.0) == np.inf
+    # a rejected null beyond the search range closes the bracket on its side
+    end = _invert(p_at, (-6.0, 0.0), 0.05, -6.0, rejected=-150.0)
+    assert end == pytest.approx(-100.0, abs=0.05)
+    assert _invert(p_at, (0.0, 6.0), 0.05, 6.0, rejected=-150.0) == np.inf
+
+
+def test_bootstrap_on_undifferenced_baseline():
     cell = SimCell(J=10, s=2, n=4, seed=12)
     ds = generate_sample(cell, 0)
     fit = heckman_classic(ds)
