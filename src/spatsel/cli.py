@@ -26,8 +26,8 @@ from .differencing import KERNELS, fixed_effect_operator, kernel_operator, pairw
 from .estimator import report_text, two_step_fit, write_coefficients_csv
 from .exceptions import EstimationError, ValidationError
 from .inference import wild_cluster_bootstrap
-from .montecarlo import GridConfig, run_tables
-from .probit import ProbitSpec, predict_index
+from .montecarlo import GridConfig, parse_int_list, run_tables
+from .probit import ProbitSpec, fit_probit, predict_index
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -98,6 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _schema_from_args(args) -> CsvSchema:
+    coords = args.coord_cols.split(",") if args.coord_cols else [None, None]
+    if len(coords) != 2:
+        raise ValidationError(f"--coord-cols needs two column names, got {args.coord_cols!r}")
     return CsvSchema(
         obs_id=args.col_id,
         location=args.col_location,
@@ -106,8 +109,8 @@ def _schema_from_args(args) -> CsvSchema:
         outcome=args.col_outcome,
         x_cols=args.x_cols.split(",") if args.x_cols else [],
         z_cols=args.z_cols.split(",") if args.z_cols else [],
-        coord_x=args.coord_cols.split(",")[0] if args.coord_cols else None,
-        coord_y=args.coord_cols.split(",")[1] if args.coord_cols else None,
+        coord_x=coords[0],
+        coord_y=coords[1],
     )
 
 
@@ -124,27 +127,32 @@ def _load_graph(args, ds):
     return build_neighborhoods(ds, args.rule)
 
 
-def _build_operator(args, ds, graph, probit_spec):
+def _check_bandwidth(args) -> None:
+    if args.op == "kernel" and (args.bandwidth is None or args.bandwidth <= 0):
+        raise ValidationError("--op kernel requires --bandwidth > 0")
+
+
+def _build_operator(args, ds, graph, probit):
+    """The operator the flags ask for; `probit` is the first-stage fit,
+    read only by --op kernel."""
     sel = ds.selected_indices()
     if args.op == "pairwise":
         return pairwise_operator(graph, sel)
     if args.op == "fixed-effect":
         return fixed_effect_operator(graph, sel)
-    if args.bandwidth is None or args.bandwidth <= 0:
-        raise ValidationError("--op kernel requires --bandwidth > 0")
     # two-pass plug-in: a pilot fixed-effect fit supplies the index x'd + z'b
-    pilot_op = fixed_effect_operator(graph, sel)
-    pilot = two_step_fit(ds, pilot_op, probit_spec)
-    index = ds.x[sel] @ pilot.delta + predict_index(pilot.probit, ds)
+    pilot = two_step_fit(ds, fixed_effect_operator(graph, sel), probit_fit=probit)
+    index = ds.x[sel] @ pilot.delta + predict_index(probit, ds)
     return kernel_operator(graph, sel, index, args.bandwidth, args.kernel)
 
 
 def _cmd_fit(args) -> int:
+    _check_bandwidth(args)
     ds = load_csv(args.input, _schema_from_args(args))
     graph = _load_graph(args, ds)
-    spec = ProbitSpec(include_location_dummies=args.probit_dummies)
-    op = _build_operator(args, ds, graph, spec)
-    fit = two_step_fit(ds, op, spec)
+    probit = fit_probit(ds, ProbitSpec(include_location_dummies=args.probit_dummies))
+    op = _build_operator(args, ds, graph, probit)
+    fit = two_step_fit(ds, op, probit_fit=probit)
 
     boot_rows = {}
     if args.boot:
@@ -177,19 +185,12 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in raw.replace(",", " ").split())
-    except ValueError:
-        raise ValidationError(f"expected a comma-separated integer list, got {raw!r}") from None
-
-
 def _cmd_simulate(args) -> int:
     cfg = GridConfig.from_file(args.config) if args.config else GridConfig()
     for key in ("J_list", "s_list", "n_list"):
         raw = getattr(args, key)
         if raw is not None:
-            setattr(cfg, key, _parse_int_list(raw))
+            setattr(cfg, key, parse_int_list(raw))
     for key in ("rho", "delta", "beta", "reps", "seed", "probit_dummies"):
         value = getattr(args, key)
         if value is not None:
@@ -204,10 +205,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_dump_operator(args) -> int:
+    _check_bandwidth(args)
     ds = load_csv(args.input, _schema_from_args(args))
     graph = _load_graph(args, ds)
-    spec = ProbitSpec(include_location_dummies=getattr(args, "probit_dummies", False))
-    op = _build_operator(args, ds, graph, spec)
+    probit = None
+    if args.op == "kernel":
+        probit = fit_probit(ds, ProbitSpec(include_location_dummies=args.probit_dummies))
+    op = _build_operator(args, ds, graph, probit)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "operator.csv")
     op.dump_csv(path)

@@ -396,18 +396,16 @@ def _graph_from_pairs(ds: ClusteredDataset, src: np.ndarray, dst: np.ndarray,
     if not keep.all():
         warnings.warn("adjacency contains self-pairs; they were dropped", stacklevel=3)
         src, dst = src[keep], dst[keep]
-    a = np.concatenate([src, dst])
-    b = np.concatenate([dst, src])
-    key = a * np.int64(ds.n_obs) + b
-    _, uniq = np.unique(key, return_index=True)
-    a, b = a[uniq], b[uniq]
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
+    keys = np.sort(np.concatenate([src * np.int64(ds.n_obs) + dst,
+                                   dst * np.int64(ds.n_obs) + src]))
+    # sorted keys give pairs ascending by a, then by b; np.unique would hash
+    # the keys first, which costs several times the sort
+    a, b = np.divmod(keys[np.diff(keys, prepend=-1) > 0], ds.n_obs)
     indptr = np.zeros(ds.n_obs + 1, dtype=np.int64)
     np.cumsum(np.bincount(a, minlength=ds.n_obs), out=indptr[1:])
     return NeighborhoodGraph(
         n_obs=ds.n_obs, source=source, location_codes=ds.location_codes,
-        group_codes=None, _indptr=indptr, _indices=b.astype(np.int64),
+        group_codes=None, _indptr=indptr, _indices=b,
     )
 
 
@@ -439,17 +437,16 @@ def build_neighborhoods(ds: ClusteredDataset, rule: str, *,
     if rule == "edges":
         if edges is None:
             raise ValidationError("rule 'edges' requires an adjacency list")
-        id_to_idx = {oid: i for i, oid in enumerate(ds.obs_ids.tolist())}
-        src, dst = [], []
-        for a_id, b_id in edges:
-            if a_id not in id_to_idx or b_id not in id_to_idx:
-                raise ValidationError(f"adjacency references unknown obs_id {a_id!r} or {b_id!r}")
-            src.append(id_to_idx[a_id])
-            dst.append(id_to_idx[b_id])
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        directed = set(zip(src.tolist(), dst.tolist()))
-        if any((b, a) not in directed for a, b in directed if a != b):
+        row_of = {oid: i for i, oid in enumerate(ds.obs_ids.tolist())}
+        ends = np.array([row_of.get(oid, -1) for a_id, b_id in edges for oid in (a_id, b_id)],
+                        dtype=np.int64).reshape(-1, 2)
+        unknown = np.flatnonzero((ends < 0).any(axis=1))
+        if unknown.size:
+            a_id, b_id = edges[unknown[0]]
+            raise ValidationError(f"adjacency references unknown obs_id {a_id!r} or {b_id!r}")
+        src, dst = ends[:, 0], ends[:, 1]
+        loops = src == dst
+        if not np.isin(dst[~loops] * ds.n_obs + src[~loops], src * ds.n_obs + dst).all():
             warnings.warn("edge list is asymmetric; it was symmetrized", stacklevel=2)
         return _graph_from_pairs(ds, src, dst, "edges")
 

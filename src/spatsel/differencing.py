@@ -12,8 +12,11 @@ kernel        like fixed_effect but neighbors weighted by a kernel in the
               distance between plug-in index values, normalised to sum one
 
 All three are built from one list of ordered (anchor, partner) column
-pairs, sorted by anchor then partner. Rows ascend by anchor column and the
-columns ascend within each row, whatever the neighborhood rule.
+pairs, sorted by anchor then partner, as D = E - P: E has a unit row at
+each row's anchor column and P the partner weights. Because the pair list
+is sorted, P is a CSR matrix as it stands, and scipy's sparse subtraction
+slots each anchor's +1 among its partners. Rows ascend by anchor column and
+the columns ascend within each row, whatever the neighborhood rule.
 
 Rows never mix locations; neighbors from a different location are skipped
 and counted. Anchors that yield no row (no usable neighbor, or zero total
@@ -107,47 +110,40 @@ def _pairs(graph: NeighborhoodGraph, sel: np.ndarray):
     if graph.group_codes is not None:
         # groups nest within locations, so no pair crosses one
         return (*group_pairs(graph.group_codes[sel]), 0)
-    starts = graph.indptr[sel]
-    degs = graph.indptr[sel + 1] - starts
-    a = np.repeat(np.arange(len(sel), dtype=np.int64), degs)
-    # gather each selected anchor's adjacency row, rows back to back
-    shift = np.repeat(starts - (np.cumsum(degs) - degs), degs)
-    nbr = graph.indices[np.arange(len(a)) + shift]
-    col_of = np.full(graph.n_obs, -1, dtype=np.int64)
-    col_of[sel] = np.arange(len(sel))
-    k = col_of[nbr]
-    is_selected = k >= 0
-    same_loc = graph.location_codes[nbr] == graph.location_codes[sel][a]
-    keep = is_selected & same_loc
-    return a[keep], k[keep], int((is_selected & ~same_loc).sum())
+    adj = sparse.csr_matrix(
+        (np.ones(len(graph.indices), dtype=np.int8), graph.indices, graph.indptr),
+        shape=(graph.n_obs, graph.n_obs),
+    )
+    sub = adj[sel][:, sel].tocoo()
+    a, k = sub.row.astype(np.int64), sub.col.astype(np.int64)
+    loc = graph.location_codes[sel]
+    same_loc = loc[a] == loc[k]
+    return a[same_loc], k[same_loc], int(len(a) - same_loc.sum())
+
+
+def _unit_rows(cols: np.ndarray, n: int) -> sparse.csr_matrix:
+    """One row per entry of `cols`, holding a single 1 at that column."""
+    m = len(cols)
+    return sparse.csr_matrix((np.ones(m), cols, np.arange(m + 1)), shape=(m, n))
 
 
 def _anchored(kind: str, sel: np.ndarray, a: np.ndarray, k: np.ndarray,
               w: np.ndarray, skipped: int) -> DifferenceOperator:
-    """One row per anchor: +1 at the anchor and -w at each partner.
+    """One row per anchor: E - P, with +1 at the anchor and -w at each partner.
 
-    (a, k) are sorted by anchor then partner, so each row's entries are its
-    partners in ascending order with the anchor slotted in among them.
+    (a, k) are sorted by anchor then partner, so the partner weights P are
+    already a CSR matrix with one row per anchor. E holds the unit rows at
+    the anchor columns.
     """
     n = len(sel)
     counts = np.bincount(a, minlength=n)
     anchors = np.flatnonzero(counts)
     rows = len(anchors)
-    row = np.repeat(np.arange(rows), counts[anchors])
     indptr = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(counts[anchors] + 1, out=indptr[1:])
-    # a pair entry moves right by one slot per earlier row's anchor, and by
-    # one more when its partner lies past its own anchor
-    after = k > a
-    pos = np.arange(len(a)) + row + after
-    anchor_pos = indptr[:-1] + np.bincount(row[~after], minlength=rows)
-    data = np.empty(len(a) + rows)
-    indices = np.empty(len(a) + rows, dtype=np.int64)
-    data[pos], indices[pos] = -w, k
-    data[anchor_pos], indices[anchor_pos] = 1.0, anchors
+    np.cumsum(counts[anchors], out=indptr[1:])
+    partners = sparse.csr_matrix((w, k, indptr), shape=(rows, n))
     return DifferenceOperator(
-        kind=kind, rows=rows, cols=n,
-        matrix=sparse.csr_matrix((data, indices, indptr), shape=(rows, n)),
+        kind=kind, rows=rows, cols=n, matrix=_unit_rows(anchors, n) - partners,
         anchor=anchors, partner=None, selected_indices=sel,
         dropped_anchors=n - rows, skipped_cross_location=skipped,
     )
@@ -170,17 +166,12 @@ def pairwise_operator(graph: NeighborhoodGraph, selected) -> DifferenceOperator:
     keep = a < k
     a, k = a[keep], k[keep]
     m = len(a)
-    data = np.empty(2 * m)
-    data[0::2], data[1::2] = 1.0, -1.0
-    indices = np.empty(2 * m, dtype=np.int64)
-    indices[0::2], indices[1::2] = a, k
-    indptr = np.arange(0, 2 * m + 1, 2, dtype=np.int64)
     # a selected observation is "dropped" when it appears in no pair
     touched = np.zeros(n, dtype=bool)
     touched[a] = touched[k] = True
     return DifferenceOperator(
         kind="pairwise", rows=m, cols=n,
-        matrix=sparse.csr_matrix((data, indices, indptr), shape=(m, n)),
+        matrix=_unit_rows(a, n) - _unit_rows(k, n),
         anchor=a, partner=k, selected_indices=sel,
         dropped_anchors=n - int(touched.sum()), skipped_cross_location=skipped,
     )

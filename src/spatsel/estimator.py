@@ -4,8 +4,7 @@
 operator: probit first stage, inverse Mills ratio per selected
 observation, then OLS of the differenced outcome on the differenced
 regressors W = [x, mills]. No constant enters the differenced regression
-by default (the operator annihilates it); `add_constant` appends one for
-reporting parity.
+(the operator annihilates it).
 
 The variance of the second-step coefficients combines two pieces built
 from the same sandwich B (DW)' [V1 + V2] (DW) B' with B = [(DW)'DW]^-1:
@@ -201,7 +200,6 @@ def _assemble(names, theta, xtx_inv, design_diff, y_diff, op, lam, dee,
 def two_step_fit(ds: ClusteredDataset, op: DifferenceOperator,
                  probit_spec: ProbitSpec | None = None, *,
                  probit_fit: ProbitFit | None = None,
-                 add_constant: bool = False,
                  variance: str = "mills") -> TwoStepFit:
     """Differenced two-step fit: probit, mills ratio, differenced OLS.
 
@@ -228,11 +226,6 @@ def two_step_fit(ds: ClusteredDataset, op: DifferenceOperator,
 
     dw = op.apply(w)
     dy = op.apply(ds.outcome[rows])
-    if add_constant:
-        # appended to the differenced system; a constant in W itself would be
-        # annihilated exactly, so it is only identified at this level
-        names.append("const")
-        dw = np.column_stack([dw, np.ones(op.rows)])
     theta, xtx_inv = _solve_ols(dw, dy, names)
     return _assemble(names, theta, xtx_inv, dw, dy, op, lam, dee, probit,
                      z_sel, variance, len(rows), slice(0, len(ds.x_names)),

@@ -286,6 +286,20 @@ DEFAULT_S = (2, 4, 8)
 DEFAULT_N = (3, 5, 8, 10)
 
 
+def parse_int_list(raw: str) -> tuple[int, ...]:
+    """Integers separated by commas and/or spaces, such as "20, 30 100"."""
+    try:
+        return tuple(int(tok) for tok in raw.replace(",", " ").split())
+    except ValueError:
+        raise ValidationError(f"expected a comma-separated integer list, got {raw!r}") from None
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in ("0", "1", "true", "false"):
+        raise ValueError(f"expected 0, 1, true or false, got {raw!r}")
+    return raw.lower() in ("1", "true")
+
+
 @dataclass
 class GridConfig:
     """Flat key-value configuration of a simulation grid."""
@@ -300,8 +314,10 @@ class GridConfig:
     seed: int = 0
     probit_dummies: bool = False
 
-    KEYS = ("J_list", "s_list", "n_list", "rho", "delta", "beta",
-            "reps", "seed", "probit_dummies")
+    # how a config file's value is read, per key
+    PARSERS = {"J_list": parse_int_list, "s_list": parse_int_list, "n_list": parse_int_list,
+               "rho": float, "delta": float, "beta": float, "reps": int, "seed": int,
+               "probit_dummies": _parse_bool}
 
     @classmethod
     def from_file(cls, path) -> "GridConfig":
@@ -315,22 +331,13 @@ class GridConfig:
                     raise ValidationError(f"{path}:{lineno}: expected key = value")
                 key, _, raw = text.partition("=")
                 key, raw = key.strip(), raw.strip()
-                if key not in cls.KEYS:
+                if key not in cls.PARSERS:
                     raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = raw
-        kwargs: dict = {}
-        for key, raw in values.items():
-            if key in ("J_list", "s_list", "n_list"):
-                kwargs[key] = tuple(int(tok) for tok in raw.replace(",", " ").split())
-            elif key in ("rho", "delta", "beta"):
-                kwargs[key] = float(raw)
-            elif key in ("reps", "seed"):
-                kwargs[key] = int(raw)
-            else:
-                if raw.lower() not in ("0", "1", "true", "false"):
-                    raise ValidationError(f"{path}: probit_dummies must be boolean, got {raw!r}")
-                kwargs[key] = raw.lower() in ("1", "true")
-        cfg = cls(**kwargs)
+                try:
+                    values[key] = cls.PARSERS[key](raw)
+                except (ValueError, ValidationError) as exc:
+                    raise ValidationError(f"{path}:{lineno}: {key}: {exc}") from None
+        cfg = cls(**values)
         if not (cfg.J_list and cfg.s_list and cfg.n_list):
             raise ValidationError(f"{path}: J_list, s_list, n_list must be non-empty")
         if cfg.reps < 1:

@@ -6,11 +6,65 @@ dense normal equations, the covariance assembles the full N x N pieces
 V1 = rho^2 D R D' and V2 = rho^2 D S z Vb z' S D' explicitly, and the
 inverse Mills ratio comes from scipy.stats.norm rather than the package's
 own kernels. `row_level_bootstrap` is the wild cluster bootstrap evaluated
-draw by draw over every differenced row.
+draw by draw over every differenced row. `loop_operator` builds a
+difference operator row by row from the graph's neighbor sets.
 """
 
 import numpy as np
 from scipy.stats import norm
+
+
+def loop_operator(graph, selected, kind, index_values=None, bandwidth=None,
+                  kernel=None):
+    """Reference CSR arrays (indptr, indices, data) of a difference operator.
+
+    Each selected observation's partners are its selected neighbors from
+    `graph.neighbors_of` in its own location, in ascending column order.
+    pairwise: one +1/-1 row per partner above the anchor. fixed_effect: +1
+    at the anchor and -1/N_d at each partner. kernel: +1 at the anchor and
+    -K_k / sum(K) at each partner with K_k > 0, where
+    K_k = kernel((index_anchor - index_k) / h) / h and the sum runs in
+    partner order. Anchors without a partner give no row.
+    """
+    sel = [int(i) for i in selected]
+    col_of = {obs: c for c, obs in enumerate(sel)}
+    loc = graph.location_codes
+    indptr, indices, data = [0], [], []
+
+    def add_row(entries):
+        for col, weight in sorted(entries):
+            indices.append(col)
+            data.append(weight)
+        indptr.append(len(indices))
+
+    for c, obs in enumerate(sel):
+        partners = sorted(col_of[k] for k in graph.neighbors_of(obs)
+                          if k in col_of and loc[k] == loc[obs])
+        if kind == "pairwise":
+            for k in partners:
+                if k > c:
+                    add_row([(c, 1.0), (k, -1.0)])
+            continue
+        if not partners:
+            continue
+        if kind == "fixed_effect":
+            weights = [1.0 / float(len(partners))] * len(partners)
+        else:
+            u = (index_values[c] - index_values[partners]) / bandwidth
+            if kernel == "gaussian":
+                raw = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi) / bandwidth
+            else:
+                raw = np.where(np.abs(u) < 1.0, 0.75 * (1.0 - u * u), 0.0) / bandwidth
+            partners = [k for k, r in zip(partners, raw) if r > 0]
+            raw = [float(r) for r in raw if r > 0]
+            total = 0.0
+            for r in raw:
+                total += r
+            weights = [r / total for r in raw]
+        if partners:
+            add_row([(c, 1.0)] + [(k, -w) for k, w in zip(partners, weights)])
+    return (np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+            np.array(data, dtype=np.float64))
 
 
 def dense_operator(op) -> np.ndarray:

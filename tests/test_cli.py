@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from spatsel import cli
+from spatsel import cli, estimator
 from spatsel.cli import main
 from spatsel.dataset import ClusteredDataset, write_csv
+from spatsel.probit import fit_probit
 
 from conftest import make_dataset
 
@@ -122,11 +123,48 @@ def test_fit_kernel_plugin(data_csv, tmp_path):
     assert code == 0
 
 
+@pytest.fixture
+def probit_calls(monkeypatch):
+    """Count every first-stage fit the CLI runs, directly or through the estimator."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fit_probit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_probit", counting)
+    monkeypatch.setattr(estimator, "fit_probit", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["fit", "dump-operator"])
+def test_kernel_path_fits_probit_once(data_csv, tmp_path, probit_calls, command):
+    code = main([command, "--input", str(data_csv), "--op", "kernel",
+                 "--bandwidth", "2.0", "--out", str(tmp_path / "k")])
+    assert code == 0
+    assert len(probit_calls) == 1
+
+
 def test_fit_kernel_requires_bandwidth(data_csv, tmp_path, capsys):
     code = main(["fit", "--input", str(data_csv), "--op", "kernel",
                  "--out", str(tmp_path)])
     assert code == 2
     assert "--bandwidth" in capsys.readouterr().err
+
+
+def test_kernel_bandwidth_checked_before_estimation(data_csv, tmp_path, probit_calls):
+    for command in ("fit", "dump-operator"):
+        code = main([command, "--input", str(data_csv), "--op", "kernel",
+                     "--bandwidth", "0", "--out", str(tmp_path)])
+        assert code == 2
+    assert probit_calls == []
+
+
+def test_fit_coord_cols_needs_two_names(data_csv, tmp_path, capsys):
+    code = main(["fit", "--input", str(data_csv), "--coord-cols", "x1",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "--coord-cols needs two column names" in capsys.readouterr().err
 
 
 def test_fit_edges_requires_adjacency(data_csv, tmp_path, capsys):
@@ -193,6 +231,16 @@ def test_simulate_unknown_config_key(tmp_path, capsys):
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 2
     assert "bogus_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["J_list = 20, x", "rho = abc", "reps = 1.5"])
+def test_simulate_malformed_config_value(tmp_path, capsys, line):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"s_list = 2\n{line}\n", encoding="utf-8")
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    key = line.split("=")[0].strip()
+    assert f"{cfg}:2: {key}: " in capsys.readouterr().err
 
 
 def test_simulate_reproducible(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from spatsel.differencing import (
 from spatsel.exceptions import ValidationError
 
 from conftest import make_dataset
+from oracles import loop_operator
 
 ROW_SUM_TOL = 1e-12
 
@@ -354,3 +357,44 @@ def test_row_sums_and_annihilation_random(seed, n_loc, n_sub, n_per, kind):
     sub_const = ds.sublocation_codes[sel].astype(float) * 2.5 + 1.0
     assert np.abs(op.apply(loc_const)).max() <= 1e-10
     assert np.abs(op.apply(sub_const)).max() <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_obs=st.integers(4, 30),
+    n_loc=st.integers(2, 4),
+    rule=st.sampled_from(["sublocation", "location", "edges", "distance"]),
+    kind=st.sampled_from(["pairwise", "fixed_effect", "gaussian", "epanechnikov"]),
+)
+def test_operator_matches_loop_reference(seed, n_obs, n_loc, rule, kind):
+    # random locations, sub-locations, selection, coordinates and edge lists;
+    # every operator must equal the row-by-row reference bit for bit
+    rng = np.random.default_rng(seed)
+    loc = rng.integers(0, n_loc, n_obs)
+    loc[:2] = [0, 1]
+    selected = rng.random(n_obs) < 0.7
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # single-member locations, asymmetric edges
+        ds = ClusteredDataset(
+            obs_ids=np.arange(n_obs), location_ids=loc,
+            sublocation_ids=rng.integers(0, 3, n_obs), selected=selected,
+            outcome=np.where(selected, 0.0, np.nan), x=np.zeros(n_obs),
+            z=np.zeros(n_obs), coords=rng.uniform(0.0, 4.0, (n_obs, 2)),
+        )
+        edges = [tuple(e) for e in rng.integers(0, n_obs, (2 * n_obs, 2)).tolist()]
+        g = build_neighborhoods(ds, rule, d=1.0, edges=edges)
+    sel = ds.selected_indices()
+    if kind == "pairwise":
+        op, want = pairwise_operator(g, sel), loop_operator(g, sel, kind)
+    elif kind == "fixed_effect":
+        op, want = fixed_effect_operator(g, sel), loop_operator(g, sel, kind)
+    else:
+        idx, h = rng.standard_normal(len(sel)), rng.uniform(0.2, 2.0)
+        op = kernel_operator(g, sel, idx, h, kind)
+        want = loop_operator(g, sel, "kernel", idx, h, kind)
+    indptr, indices, data = want
+    np.testing.assert_array_equal(op.matrix.indptr, indptr)
+    np.testing.assert_array_equal(op.matrix.indices, indices)
+    assert op.matrix.data.tobytes() == data.tobytes()
+    assert op.matrix.has_sorted_indices

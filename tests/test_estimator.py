@@ -346,17 +346,7 @@ def test_full_dgp_single_draw_envelope():
     assert abs(fit.theta[i] - 1.0) < 0.5
 
 
-# -- constant column option, reports ----------------------------------------------
-
-
-def test_add_constant_option():
-    ds = fixture_12()
-    g = build_neighborhoods(ds, "sublocation")
-    op = fixed_effect_operator(g, ds.selected_indices())
-    fit = two_step_fit(ds, op, add_constant=True)
-    assert fit.names[-1] == "const"
-    assert len(fit.theta) == ds.p + 2
-    assert fit.rho == pytest.approx(fit.theta[ds.p])
+# -- reports ------------------------------------------------------------------
 
 
 def test_reports():
