@@ -103,7 +103,7 @@ class ClusteredDataset:
             if self.coords.shape != (n, 2):
                 raise ValidationError("coords must be an (n, 2) array")
 
-        if len(np.unique(self.obs_ids)) != n:
+        if len(set(self.obs_ids.tolist())) != n:
             raise ValidationError("duplicate obs_id values present")
 
         bad = np.flatnonzero(self.selected != np.isfinite(self.outcome))
@@ -327,6 +327,23 @@ def load_adjacency(path) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 
+def group_layout(codes: np.ndarray):
+    """Where each position sits among the positions sharing its code.
+
+    `codes` are non-negative integers. Returns (sizes, order, start, rank):
+    `sizes[c]` members carry code c, `order` lists every group's members in
+    ascending position (stable sort by code), group c fills
+    `order[start[c]:start[c] + sizes[c]]`, and position i is the
+    `rank[i]`-th member of its group.
+    """
+    sizes = np.bincount(codes)
+    order = np.argsort(codes, kind="stable")
+    start = np.cumsum(sizes) - sizes
+    rank = np.empty(len(codes), dtype=np.int64)
+    rank[order] = np.arange(len(codes)) - start[codes[order]]
+    return sizes, order, start, rank
+
+
 def group_pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every ordered pair (i, k), i != k, of positions sharing a code.
 
@@ -334,11 +351,7 @@ def group_pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     arrays sorted by i, then by k.
     """
     codes = np.asarray(codes, dtype=np.int64)
-    sizes = np.bincount(codes)
-    order = np.argsort(codes, kind="stable")     # each group's members, ascending
-    start = np.cumsum(sizes) - sizes             # first slot of each group in `order`
-    rank = np.empty(len(codes), dtype=np.int64)  # position of i among its group's members
-    rank[order] = np.arange(len(codes)) - start[codes[order]]
+    sizes, order, start, rank = group_layout(codes)
     deg = sizes[codes] - 1
     i = np.repeat(np.arange(len(codes), dtype=np.int64), deg)
     # the t-th partner of i is the t-th member of its group, skipping i itself

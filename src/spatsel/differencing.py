@@ -11,12 +11,16 @@ fixed_effect  one row per selected anchor i: +1 at i, -1/N_d at each
 kernel        like fixed_effect but neighbors weighted by a kernel in the
               distance between plug-in index values, normalised to sum one
 
-All three are built from one list of ordered (anchor, partner) column
-pairs, sorted by anchor then partner, as D = E - P: E has a unit row at
-each row's anchor column and P the partner weights. Because the pair list
-is sorted, P is a CSR matrix as it stands, and scipy's sparse subtraction
-slots each anchor's +1 among its partners. Rows ascend by anchor column and
-the columns ascend within each row, whatever the neighborhood rule.
+Under a membership rule (`sublocation`, `location`) a fixed_effect row is
+the anchor's whole selected group: its m member columns in ascending
+order, -1/(m-1) at each and +1 at the anchor. Those rows are laid out
+straight from the sorted group codes. Every other operator is built from
+one list of ordered (anchor, partner) column pairs, sorted by anchor then
+partner, as D = E - P: E has a unit row at each row's anchor column and P
+the partner weights. Because the pair list is sorted, P is a CSR matrix as
+it stands, and scipy's sparse subtraction slots each anchor's +1 among its
+partners. Either way rows ascend by anchor column and the columns ascend
+within each row, whatever the neighborhood rule.
 
 Rows never mix locations; neighbors from a different location are skipped
 and counted. Anchors that yield no row (no usable neighbor, or zero total
@@ -32,7 +36,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .dataset import NeighborhoodGraph, group_pairs
+from .dataset import NeighborhoodGraph, group_layout, group_pairs
 from .exceptions import ValidationError
 
 KERNELS = ("epanechnikov", "gaussian")
@@ -127,16 +131,16 @@ def _unit_rows(cols: np.ndarray, n: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((np.ones(m), cols, np.arange(m + 1)), shape=(m, n))
 
 
-def _anchored(kind: str, sel: np.ndarray, a: np.ndarray, k: np.ndarray,
+def _anchored(kind: str, sel: np.ndarray, counts: np.ndarray, k: np.ndarray,
               w: np.ndarray, skipped: int) -> DifferenceOperator:
     """One row per anchor: E - P, with +1 at the anchor and -w at each partner.
 
-    (a, k) are sorted by anchor then partner, so the partner weights P are
-    already a CSR matrix with one row per anchor. E holds the unit rows at
-    the anchor columns.
+    `counts[c]` is the number of pairs anchored at column c. The pairs are
+    sorted by anchor then partner `k`, so the partner weights P are already
+    a CSR matrix with one row per anchor. E holds the unit rows at the
+    anchor columns.
     """
     n = len(sel)
-    counts = np.bincount(a, minlength=n)
     anchors = np.flatnonzero(counts)
     rows = len(anchors)
     indptr = np.zeros(rows + 1, dtype=np.int64)
@@ -185,9 +189,43 @@ def fixed_effect_operator(graph: NeighborhoodGraph, selected) -> DifferenceOpera
     produce no row and are counted in `dropped_anchors`.
     """
     sel = _selected(graph, selected)
+    if graph.group_codes is not None:
+        return _membership_fixed_effect(sel, graph.group_codes[sel])
     a, k, skipped = _pairs(graph, sel)
-    n_d = np.bincount(a, minlength=len(sel)).astype(np.float64)
-    return _anchored("fixed_effect", sel, a, k, 1.0 / n_d[a], skipped)
+    n_d = np.bincount(a, minlength=len(sel))
+    deg = n_d[n_d > 0]
+    return _anchored("fixed_effect", sel, n_d, k, np.repeat(1.0 / deg, deg), skipped)
+
+
+def _membership_fixed_effect(sel: np.ndarray, codes: np.ndarray) -> DifferenceOperator:
+    """Fixed-effect rows of a membership graph, one per anchor whose group
+    has m >= 2 selected members: the group's columns in ascending order,
+    -1/(m-1) at each and +1 at the anchor. Groups nest within locations, so
+    no row crosses one.
+    """
+    n = len(sel)
+    sizes, order, start, rank = group_layout(codes)
+    m = sizes[codes]
+    anchors = np.flatnonzero(m > 1)
+    rows = len(anchors)
+    lens = m[anchors]
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    # row r reads its group's slice of `order`, from start[code] onwards
+    slot = np.arange(indptr[-1], dtype=np.int64)
+    slot -= np.repeat(indptr[:-1] - start[codes[anchors]], lens)
+    # gather int32 columns when they fit, the index dtype scipy would pick,
+    # so the CSR constructor neither scans nor converts them
+    if n <= np.iinfo(np.int32).max:
+        order = order.astype(np.int32)
+    data = np.repeat(-(1.0 / (lens - 1)), lens)
+    data[indptr[:-1] + rank[anchors]] = 1.0
+    return DifferenceOperator(
+        kind="fixed_effect", rows=rows, cols=n,
+        matrix=sparse.csr_matrix((data, order[slot], indptr), shape=(rows, n)),
+        anchor=anchors, partner=None, selected_indices=sel,
+        dropped_anchors=n - rows,
+    )
 
 
 def _kernel_values(u: np.ndarray, kernel: str) -> np.ndarray:
@@ -226,4 +264,4 @@ def kernel_operator(graph: NeighborhoodGraph, selected, index_values,
     pos = raw > 0
     a, k, raw = a[pos], k[pos], raw[pos]
     totals = np.bincount(a, weights=raw, minlength=n)
-    return _anchored("kernel", sel, a, k, raw / totals[a], skipped)
+    return _anchored("kernel", sel, np.bincount(a, minlength=n), k, raw / totals[a], skipped)

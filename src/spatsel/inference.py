@@ -29,6 +29,10 @@ from .exceptions import ValidationError
 
 # relative shortfall of |t*| below |t_obs| still counted as a tie
 _TIE_SLACK = 1e-12
+# an interval end is searched at this many constant steps from the
+# estimate, then at this many more steps that double each time
+_CONSTANT_WIDENINGS = 6
+_DOUBLING_WIDENINGS = 10
 
 
 @dataclass
@@ -179,19 +183,23 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
 
 
 def _invert(p_at, bracket: tuple[float, float], alpha: float, widen: float,
-            rejected: float | None = None, tol: float = 1e-4,
-            max_widen: int = 6) -> float:
+            rejected: float | None = None, tol: float = 1e-4) -> float:
     """Bisect for the null value where the bootstrap p-value crosses alpha.
 
-    If p stays >= alpha through `max_widen` widenings, `rejected` (a null
-    value with p < alpha, if any) closes the bracket when it lies on this
-    side; otherwise the end was never bracketed and is -inf or +inf.
+    The outer end moves by `widen` for the first `_CONSTANT_WIDENINGS`
+    steps, then by steps that double. If p stays >= alpha through all of
+    them, `rejected` (a null value with p < alpha, if any) closes the
+    bracket when it lies on this side; otherwise the end was never
+    bracketed and is -inf or +inf.
     """
     inner, outer = (bracket[1], bracket[0]) if widen < 0 else (bracket[0], bracket[1])
-    for _ in range(max_widen):
+    step = widen
+    for i in range(_CONSTANT_WIDENINGS + _DOUBLING_WIDENINGS):
         if p_at(outer) < alpha:
             break
-        outer += widen
+        if i >= _CONSTANT_WIDENINGS:
+            step *= 2
+        outer += step
     else:
         if rejected is None or (rejected - inner) * widen <= 0:
             return -np.inf if widen < 0 else np.inf

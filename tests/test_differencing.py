@@ -282,10 +282,37 @@ def test_membership_and_graph_paths_agree(seed, n_loc, n_sub, n_per, rule, kind)
     # Observations are shuffled, so group codes do not ascend with row
     # order. A membership graph and the same neighbor sets passed as an
     # explicit CSR adjacency must give the same operator bit for bit, with
-    # rows ascending by anchor and columns ascending within each row.
+    # rows ascending by anchor and columns ascending within each row. For
+    # fixed_effect the two graphs take different builders: rows laid out
+    # from the group codes, and rows assembled from the pair list.
     ds = _shuffled(make_dataset(n_locations=n_loc, n_sublocations=n_sub,
                                 n_per_sub=n_per, seed=seed), seed)
-    sel = ds.selected_indices()
+    _assert_membership_and_graph_agree(ds, ds.selected_indices(), rule, kind, seed)
+
+
+@pytest.mark.parametrize("rule", ["sublocation", "location"])
+@pytest.mark.parametrize("sel", [[0, 1, 2, 3, 6], [0, 3, 6], []],
+                         ids=["some-singletons", "all-singletons", "empty"])
+def test_membership_and_graph_paths_agree_small_groups(rule, sel):
+    # groups with one selected member give no fixed_effect row; an empty
+    # selection gives a 0 x 0 operator
+    ds = ClusteredDataset(
+        obs_ids=np.arange(9), location_ids=[1, 1, 1, 2, 2, 2, 3, 3, 3],
+        sublocation_ids=[1, 1, 2, 1, 2, 2, 1, 1, 2], selected=[True] * 9,
+        outcome=np.zeros(9), x=np.zeros((9, 1)), z=np.zeros((9, 1)),
+    )
+    sel = np.array(sel, dtype=np.int64)
+    for kind in ("pairwise", "fixed_effect", "kernel"):
+        _assert_membership_and_graph_agree(ds, sel, rule, kind, 0)
+    op = fixed_effect_operator(build_neighborhoods(ds, rule), sel)
+    if len(sel) == 5:
+        # only 0, 1 (and 2 under the location rule) share a group
+        assert (op.rows, op.dropped_anchors) == ((2, 3) if rule == "sublocation" else (3, 2))
+    else:
+        assert op.rows == 0 and op.dropped_anchors == len(sel)
+
+
+def _assert_membership_and_graph_agree(ds, sel, rule, kind, seed):
     fast = build_neighborhoods(ds, rule)
     slow = NeighborhoodGraph(
         n_obs=ds.n_obs, source="edges", location_codes=ds.location_codes,
@@ -300,8 +327,13 @@ def test_membership_and_graph_paths_agree(seed, n_loc, n_sub, n_per, rule, kind)
         a = kernel_operator(fast, sel, idx, 0.5, "gaussian")
         b = kernel_operator(slow, sel, idx, 0.5, "gaussian")
     for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(a.matrix, name), getattr(b.matrix, name))
+        x, y = getattr(a.matrix, name), getattr(b.matrix, name)
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+    assert a.matrix.shape == b.matrix.shape == (a.rows, len(sel))
     np.testing.assert_array_equal(a.anchor, b.anchor)
+    assert a.dropped_anchors == b.dropped_anchors
+    assert a.skipped_cross_location == b.skipped_cross_location == 0
     steps = np.diff(a.anchor)
     assert (steps >= 0).all() if kind == "pairwise" else (steps > 0).all()
     assert a.matrix.has_sorted_indices

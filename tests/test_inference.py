@@ -169,14 +169,14 @@ def test_ci_test_inversion_contains_estimate():
                                  seed=3, compute_ci=True)
     assert res.ci_low is not None and res.ci_high is not None
     assert res.ci_low < fit.theta[i] < res.ci_high
-    # on this input p stays above 0.05 through every widening below the
-    # estimate, so that end is never bracketed and is reported as -inf
-    assert res.ci_low == -np.inf
-    assert np.isfinite(res.ci_high)
-    inner = wild_cluster_bootstrap(fit, op, ds, "x1",
-                                   null_value=0.5 * (fit.theta[i] + res.ci_high),
-                                   B=399, seed=3)
-    assert inner.p_value > 0.05
+    # on this input p stays above 0.05 through the six constant widenings
+    # below the estimate; a doubling widening then brackets that end
+    assert np.isfinite(res.ci_low) and np.isfinite(res.ci_high)
+    for end in (res.ci_low, res.ci_high):
+        inner = wild_cluster_bootstrap(fit, op, ds, "x1",
+                                       null_value=0.5 * (fit.theta[i] + end),
+                                       B=399, seed=3)
+        assert inner.p_value > 0.05
 
 
 @pytest.mark.parametrize("draws", [{"B": 199, "seed": 8}, {"full_enumeration": True}],
@@ -201,17 +201,30 @@ def test_cluster_sums_match_row_level_oracle(kind, coef, null, draws):
 
 
 def test_invert_never_bracketed_end_is_infinite():
-    # estimate at 0: p stays above alpha through six widenings of 6 and
-    # drops below it only past -100
+    # estimate at 0: p stays above alpha through every widening of the
+    # search and drops below it only past -1e5
     def p_at(v):
-        return 0.01 if v < -100.0 else 0.07
+        return 0.01 if v < -1e5 else 0.07
 
     assert _invert(p_at, (-6.0, 0.0), 0.05, -6.0) == -np.inf
     assert _invert(p_at, (0.0, 6.0), 0.05, 6.0) == np.inf
     # a rejected null beyond the search range closes the bracket on its side
-    end = _invert(p_at, (-6.0, 0.0), 0.05, -6.0, rejected=-150.0)
-    assert end == pytest.approx(-100.0, abs=0.05)
-    assert _invert(p_at, (0.0, 6.0), 0.05, 6.0, rejected=-150.0) == np.inf
+    end = _invert(p_at, (-6.0, 0.0), 0.05, -6.0, rejected=-1.5e5)
+    assert end == pytest.approx(-1e5, rel=1e-4)
+    assert _invert(p_at, (0.0, 6.0), 0.05, 6.0, rejected=-1.5e5) == np.inf
+
+
+def test_invert_doubling_widenings_reach_far_crossing():
+    # the crossing at 50 lies past the six constant widenings (6, ..., 36)
+    # and is bracketed by the doubling ones (42, 54)
+    tested = []
+
+    def p_at(v):
+        tested.append(v)
+        return 0.01 if v > 50.0 else 0.07
+
+    assert _invert(p_at, (0.0, 6.0), 0.05, 6.0) == pytest.approx(50.0, abs=0.01)
+    assert tested[:8] == [6.0, 12.0, 18.0, 24.0, 30.0, 36.0, 42.0, 54.0]
 
 
 def test_bootstrap_on_undifferenced_baseline():
