@@ -70,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="wild cluster bootstrap replications per coefficient")
     fit_p.add_argument("--seed", type=int, default=0, help="bootstrap seed")
     fit_p.add_argument("--out", default=".", help="output directory")
-    fit_p.add_argument("--threads", type=int, help="worker cap (fit path is single-threaded)")
 
     sim_p = sub.add_parser("simulate", help="run a simulation grid")
     sim_p.add_argument("--config", help="flat key=value grid config (defaults apply without it)")

@@ -5,14 +5,23 @@ and one sub-location nested inside it. Selection is a 0/1 indicator; the
 outcome is recorded only for selected rows. Storage is column-oriented
 (numpy arrays) so the simulation harness can build thousands of datasets
 cheaply.
+
+CSV ingestion is columnar too: `load_csv` reads every record, transposes
+once and parses each numeric column in one pass, and runs each record
+check as a vector mask, reporting the first faulty row. Identifiers read
+from a file are fixed-width str arrays; `load_adjacency` returns its
+obs_id pairs as an (m, 2) str array, which the `edges` rule matches to
+rows with one sort and a binary search.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -111,10 +120,10 @@ class ClusteredDataset:
             i = int(bad[0])
             if self.selected[i]:
                 raise ValidationError(
-                    f"observation {self.obs_ids[i]!r} (row {i}) is selected but has no outcome"
+                    f"observation {self.obs_ids.item(i)!r} (row {i}) is selected but has no outcome"
                 )
             raise ValidationError(
-                f"observation {self.obs_ids[i]!r} (row {i}) is not selected but carries an outcome"
+                f"observation {self.obs_ids.item(i)!r} (row {i}) is not selected but carries an outcome"
             )
         if not (np.isfinite(self.x).all() and np.isfinite(self.z).all()):
             raise ValidationError("x and z must be finite")
@@ -132,7 +141,7 @@ class ClusteredDataset:
         counts = np.bincount(loc_codes)
         singles = np.flatnonzero(counts == 1)
         if singles.size:
-            ids = ", ".join(repr(loc_unique[i]) for i in singles[:5])
+            ids = ", ".join(repr(loc_unique.item(i)) for i in singles[:5])
             warnings.warn(
                 f"{singles.size} location(s) contain a single observation "
                 f"(no within-location pair exists): {ids}",
@@ -199,11 +208,24 @@ def _detect_block(header: Sequence[str], prefix: str) -> list[str]:
     return cols
 
 
-def _parse_float(text: str, row: int, col: str) -> float:
+def _filled(rows: list) -> tuple[list, np.ndarray]:
+    """The rows with a field that is not blank, and their 0-based positions.
+
+    A row of empty or whitespace-only fields (or none) is skipped.
+    """
+    filled = np.fromiter(map(bool, map(str.strip, map("".join, rows))), dtype=bool,
+                         count=len(rows))
+    if filled.all():
+        return rows, np.arange(len(rows))
+    return list(itertools.compress(rows, filled)), np.flatnonzero(filled)
+
+
+def _parses(text: str) -> bool:
     try:
-        return float(text)
+        float(text)
     except ValueError:
-        raise ValidationError(f"row {row}: column {col!r} has unparseable value {text!r}") from None
+        return False
+    return True
 
 
 def load_csv(path, schema: CsvSchema | None = None) -> ClusteredDataset:
@@ -213,6 +235,14 @@ def load_csv(path, schema: CsvSchema | None = None) -> ClusteredDataset:
     `obs_id, location, sublocation, selected, y2, x1..xp, z1..zq[, coord_x, coord_y]`;
     `schema` remaps any of them. A missing outcome is an empty field.
     Row numbers in error messages count the header as row 1.
+
+    The file is read whole and checked column by column. Every record
+    check is one vector mask over the rows; when several rows fail, the
+    error names the first of them, and within a row the first failing
+    check in this order: field count, an id or label ending in a NUL
+    character, duplicate obs_id, the 0/1 selection flag, outcome present
+    exactly when selected, then each number (outcome, x, z, coordinates).
+    Rows after a short row are not checked.
     """
     schema = schema or CsvSchema()
     with open(path, newline="", encoding="utf-8") as fh:
@@ -241,49 +271,95 @@ def load_csv(path, schema: CsvSchema | None = None) -> ClusteredDataset:
             raise ValidationError(f"{path}: no x columns found (expected x1, x2, ...)")
         if not z_cols:
             raise ValidationError(f"{path}: no z columns found (expected z1, z2, ...)")
+        rows = list(reader)
 
-        obs_ids, loc_ids, sub_ids = [], [], []
-        selected, outcome, xs, zs, coords = [], [], [], [], []
-        seen: set = set()
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) < len(header):
-                raise ValidationError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
-            oid = row[pos[schema.obs_id]].strip()
-            if oid in seen:
-                raise ValidationError(f"row {rownum}: duplicate obs_id {oid!r}")
-            seen.add(oid)
-            sel_raw = row[pos[schema.selected]].strip()
-            if sel_raw not in ("0", "1"):
-                raise ValidationError(f"row {rownum}: column {schema.selected!r} must be 0 or 1, got {sel_raw!r}")
-            sel = sel_raw == "1"
-            out_raw = row[pos[schema.outcome]].strip()
-            if sel and out_raw == "":
-                raise ValidationError(f"row {rownum}: selected observation {oid!r} has empty outcome")
-            if not sel and out_raw != "":
-                raise ValidationError(f"row {rownum}: non-selected observation {oid!r} carries an outcome")
-            obs_ids.append(oid)
-            loc_ids.append(row[pos[schema.location]].strip())
-            sub_ids.append(row[pos[schema.sublocation]].strip())
-            selected.append(sel)
-            outcome.append(_parse_float(out_raw, rownum, schema.outcome) if sel else np.nan)
-            xs.append([_parse_float(row[pos[c]], rownum, c) for c in x_cols])
-            zs.append([_parse_float(row[pos[c]], rownum, c) for c in z_cols])
-            if coord_cols:
-                coords.append([_parse_float(row[pos[c]], rownum, c) for c in coord_cols])
-
-    if not obs_ids:
+    rows, line = _filled(rows)
+    line += 2   # the header is row 1
+    if not rows:
         raise ValidationError(f"{path}: no data rows")
+
+    # (row, check order, message), appended in check order; the least is raised
+    faults: list = []
+
+    def check(mask, message) -> None:
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            faults.append((int(bad[0]), len(faults), message(int(bad[0]))))
+
+    width = len(header)
+    n_fields = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    check(n_fields < width,
+          lambda i: f"row {line[i]}: expected {width} fields, got {n_fields[i]}")
+    if faults:
+        rows = rows[:faults[0][0]]   # rows past a short one are never reached
+    n = len(rows)
+    cols = list(zip(*rows)) or [()] * width
+    del rows
+
+    def text(name: str) -> list:
+        return list(map(str.strip, cols[pos[name]]))
+
+    def labels(name: str) -> np.ndarray:
+        """A text column as a fixed-width str array. Those drop trailing NUL
+        characters, so a field that ends in one is refused."""
+        texts = text(name)
+        if "\x00" in "".join(texts):
+            check([t.endswith("\x00") for t in texts],
+                  lambda i: f"row {line[i]}: column {name!r} ends in a NUL character")
+        return np.array(texts, dtype=str)
+
+    obs_ids = labels(schema.obs_id)
+    location_ids, sublocation_ids = labels(schema.location), labels(schema.sublocation)
+    order = np.argsort(obs_ids, kind="stable")
+    repeat = np.zeros(n, dtype=bool)
+    repeat[order[1:]] = obs_ids[order[1:]] == obs_ids[order[:-1]]
+    check(repeat, lambda i: f"row {line[i]}: duplicate obs_id {obs_ids.item(i)!r}")
+
+    flags = text(schema.selected)
+    selected = np.fromiter(map("1".__eq__, flags), dtype=bool, count=n)
+    unselected = np.fromiter(map("0".__eq__, flags), dtype=bool, count=n)
+    check(~(selected | unselected), lambda i: (
+        f"row {line[i]}: column {schema.selected!r} must be 0 or 1, got {flags[i]!r}"))
+
+    outcome_text = text(schema.outcome)
+    has_outcome = np.fromiter(map(bool, outcome_text), dtype=bool, count=n)
+    check(selected & ~has_outcome, lambda i: (
+        f"row {line[i]}: selected observation {obs_ids.item(i)!r} has empty outcome"))
+    check(unselected & has_outcome, lambda i: (
+        f"row {line[i]}: non-selected observation {obs_ids.item(i)!r} carries an outcome"))
+
+    def numbers(name: str, texts, rows=None) -> np.ndarray:
+        """Parse one column; `rows` maps text positions to rows (default: same)."""
+        try:
+            return np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
+        except ValueError:
+            k = next(k for k, t in enumerate(texts) if not _parses(t))
+            i = k if rows is None else int(rows[k])
+            faults.append((i, len(faults),
+                           f"row {line[i]}: column {name!r} has unparseable value {texts[k]!r}"))
+            return np.zeros(len(texts))
+
+    def block(names: list) -> np.ndarray:
+        return np.column_stack([numbers(c, cols[pos[c]]) for c in names])
+
+    parsed = selected & has_outcome
+    outcome = np.full(n, np.nan)
+    outcome[parsed] = numbers(schema.outcome, list(itertools.compress(outcome_text, parsed)),
+                              np.flatnonzero(parsed))
+    x, z = block(x_cols), block(z_cols)
+    coords = block(coord_cols) if coord_cols else None
+    if faults:
+        raise ValidationError(min(faults)[2])
+
     return ClusteredDataset(
-        obs_ids=np.array(obs_ids, dtype=object),
-        location_ids=np.array(loc_ids, dtype=object),
-        sublocation_ids=np.array(sub_ids, dtype=object),
-        selected=np.array(selected, dtype=bool),
-        outcome=np.array(outcome, dtype=np.float64),
-        x=np.array(xs, dtype=np.float64),
-        z=np.array(zs, dtype=np.float64),
-        coords=np.array(coords, dtype=np.float64) if coord_cols else None,
+        obs_ids=obs_ids,
+        location_ids=location_ids,
+        sublocation_ids=sublocation_ids,
+        selected=selected,
+        outcome=outcome,
+        x=x,
+        z=z,
+        coords=coords,
         x_names=x_cols,
         z_names=z_cols,
     )
@@ -309,17 +385,19 @@ def write_csv(ds: ClusteredDataset, path) -> None:
             writer.writerow(row)
 
 
-def load_adjacency(path) -> list[tuple[str, str]]:
-    """Read a two-column CSV of obs_id pairs (no header)."""
-    pairs = []
+def load_adjacency(path) -> np.ndarray:
+    """Read a two-column CSV of obs_id pairs (no header) as an (m, 2) str array.
+
+    Blank rows are skipped, fields are stripped and fields past the second
+    are ignored.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        for rownum, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) < 2:
-                raise ValidationError(f"adjacency row {rownum}: expected two obs_id fields")
-            pairs.append((row[0].strip(), row[1].strip()))
-    return pairs
+        rows, record = _filled(list(csv.reader(fh)))
+    short = np.flatnonzero(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) < 2)
+    if short.size:
+        raise ValidationError(f"adjacency row {record[short[0]] + 1}: expected two obs_id fields")
+    return np.array([list(map(str.strip, map(itemgetter(k), rows))) for k in (0, 1)],
+                    dtype=str).T
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +502,15 @@ def _graph_from_pairs(ds: ClusteredDataset, src: np.ndarray, dst: np.ndarray,
 
 def build_neighborhoods(ds: ClusteredDataset, rule: str, *,
                         d: float | None = None,
-                        edges: Sequence[tuple] | None = None) -> NeighborhoodGraph:
+                        edges: Sequence | np.ndarray | None = None) -> NeighborhoodGraph:
     """Build the neighbor sets of every observation under one of four rules.
 
     rule = "sublocation": all other members of the observation's sub-location.
     rule = "location":    all other members of the observation's location.
-    rule = "edges":       an explicit list of obs_id pairs; an asymmetric
-                          (directed) list is symmetrized with a warning.
+    rule = "edges":       explicit obs_id pairs, an (m, 2) array (as
+                          `load_adjacency` returns) or a list of pairs; an
+                          asymmetric (directed) list is symmetrized with a
+                          warning.
     rule = "distance":    all observations within Euclidean distance d
                           (requires coordinates and d > 0).
 
@@ -450,16 +530,24 @@ def build_neighborhoods(ds: ClusteredDataset, rule: str, *,
     if rule == "edges":
         if edges is None:
             raise ValidationError("rule 'edges' requires an adjacency list")
-        row_of = {oid: i for i, oid in enumerate(ds.obs_ids.tolist())}
-        ends = np.array([row_of.get(oid, -1) for a_id, b_id in edges for oid in (a_id, b_id)],
-                        dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(edges).reshape(len(edges), 2)
+        # one sort of the ids, then a binary search per edge end; ends of
+        # another kind than the ids (text against integers) never compare equal
+        order = np.argsort(ds.obs_ids)
+        ids = ds.obs_ids[order]
+        at = np.minimum(np.searchsorted(ids, pairs), ds.n_obs - 1)
+        ends = np.where(ids[at] == pairs, order[at], -1)
         unknown = np.flatnonzero((ends < 0).any(axis=1))
         if unknown.size:
-            a_id, b_id = edges[unknown[0]]
+            a_id, b_id = pairs[unknown[0]].tolist()
             raise ValidationError(f"adjacency references unknown obs_id {a_id!r} or {b_id!r}")
         src, dst = ends[:, 0], ends[:, 1]
         loops = src == dst
-        if not np.isin(dst[~loops] * ds.n_obs + src[~loops], src * ds.n_obs + dst).all():
+        # symmetric when every reversed pair is a given pair; np.isin on these
+        # keys costs several times one sort and a binary search
+        keys = np.sort(src * ds.n_obs + dst)
+        reverse = dst[~loops] * ds.n_obs + src[~loops]
+        if not (keys[np.searchsorted(keys, reverse).clip(max=len(keys) - 1)] == reverse).all():
             warnings.warn("edge list is asymmetric; it was symmetrized", stacklevel=2)
         return _graph_from_pairs(ds, src, dst, "edges")
 

@@ -19,6 +19,7 @@ squared mills coefficient; its scale-free part is computed once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -103,6 +104,11 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
     coefficient at null 0, |t*| = |t_obs| = 1/sqrt(k_cc) in every draw
     (the se is |mills coefficient| * sqrt(k_cc)), so that p-value is 1
     by construction instead of a share decided by rounding.
+
+    With `compute_ci` the interval holds every null value whose p-value is
+    at least 1 - ci_level, and a null is rejected when its p-value is
+    strictly below it: at B = 399 and ci_level 0.95 a p-value of 20/400 is
+    kept.
     """
     if B < 99 and not full_enumeration:
         raise ValidationError("B must be at least 99")
@@ -167,7 +173,11 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
 
     ci_low = ci_high = None
     if compute_ci:
-        alpha = 1.0 - ci_level
+        # the level's complement as the decimal it is written in (1.0 - 0.95
+        # is 0.050000000000000044, which would reject a p-value of exactly
+        # 0.05); p and alpha are then the doubles nearest two fractions with
+        # small denominators, so p < alpha orders them as the fractions do
+        alpha = float(1 - Fraction(str(ci_level)))
         half = 6.0 * se_obs if se_obs > 0 else max(1.0, abs(theta_obs))
         lo_bracket = (theta_obs - half, theta_obs)
         hi_bracket = (theta_obs, theta_obs + half)

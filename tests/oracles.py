@@ -8,10 +8,17 @@ inverse Mills ratio comes from scipy.stats.norm rather than the package's
 own kernels. `row_level_bootstrap` is the wild cluster bootstrap evaluated
 draw by draw over every differenced row. `loop_operator` builds a
 difference operator row by row from the graph's neighbor sets.
+`row_loop_load_csv` reads a dataset CSV one row at a time.
 """
+
+import csv
+from fractions import Fraction
 
 import numpy as np
 from scipy.stats import norm
+
+from spatsel.dataset import ClusteredDataset, CsvSchema, _detect_block
+from spatsel.exceptions import ValidationError
 
 
 def loop_operator(graph, selected, kind, index_values=None, bandwidth=None,
@@ -193,10 +200,104 @@ def row_level_bootstrap(fit, op, ds, coef, null_value=0.0, B=999, seed=0, *,
             return count / len(signs)
         return (1 + count) / (1 + len(signs))
 
-    alpha = 1.0 - ci_level
+    alpha = float(1 - Fraction(str(ci_level)))
     half = 6.0 * se_obs
     p_value = p_at(null_value)
     rejected = null_value if p_value < alpha else None
     return (p_value,
             _invert(p_at, (theta_obs - half, theta_obs), alpha, -half, rejected),
             _invert(p_at, (theta_obs, theta_obs + half), alpha, half, rejected))
+
+
+def _parse_float(text: str, row: int, col: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(f"row {row}: column {col!r} has unparseable value {text!r}") from None
+
+
+def row_loop_load_csv(path, schema=None):
+    """Reference `load_csv`: the row-by-row loop it replaced, kept verbatim.
+
+    Each row is checked and parsed in turn and the first failing check
+    raises, which defines the error a file with several faults gives.
+    Identifiers come back as object arrays of str.
+
+    The header row is required. Canonical columns are
+    `obs_id, location, sublocation, selected, y2, x1..xp, z1..zq[, coord_x, coord_y]`;
+    `schema` remaps any of them. A missing outcome is an empty field.
+    Row numbers in error messages count the header as row 1.
+    """
+    schema = schema or CsvSchema()
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{path}: file is empty") from None
+        header = [h.strip() for h in header]
+        pos = {name: i for i, name in enumerate(header)}
+
+        x_cols = schema.x_cols or _detect_block(header, "x")
+        z_cols = schema.z_cols or _detect_block(header, "z")
+        coord_cols = []
+        if schema.coord_x and schema.coord_y:
+            coord_cols = [schema.coord_x, schema.coord_y]
+        elif "coord_x" in pos and "coord_y" in pos and schema.coord_x is None:
+            coord_cols = ["coord_x", "coord_y"]
+
+        required = [schema.obs_id, schema.location, schema.sublocation,
+                    schema.selected, schema.outcome, *x_cols, *z_cols, *coord_cols]
+        missing = [c for c in required if c not in pos]
+        if missing:
+            raise ValidationError(f"{path}: missing column(s) {missing}")
+        if not x_cols:
+            raise ValidationError(f"{path}: no x columns found (expected x1, x2, ...)")
+        if not z_cols:
+            raise ValidationError(f"{path}: no z columns found (expected z1, z2, ...)")
+
+        obs_ids, loc_ids, sub_ids = [], [], []
+        selected, outcome, xs, zs, coords = [], [], [], [], []
+        seen: set = set()
+        for rownum, row in enumerate(reader, start=2):
+            if not row or all(not f.strip() for f in row):
+                continue
+            if len(row) < len(header):
+                raise ValidationError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
+            oid = row[pos[schema.obs_id]].strip()
+            if oid in seen:
+                raise ValidationError(f"row {rownum}: duplicate obs_id {oid!r}")
+            seen.add(oid)
+            sel_raw = row[pos[schema.selected]].strip()
+            if sel_raw not in ("0", "1"):
+                raise ValidationError(f"row {rownum}: column {schema.selected!r} must be 0 or 1, got {sel_raw!r}")
+            sel = sel_raw == "1"
+            out_raw = row[pos[schema.outcome]].strip()
+            if sel and out_raw == "":
+                raise ValidationError(f"row {rownum}: selected observation {oid!r} has empty outcome")
+            if not sel and out_raw != "":
+                raise ValidationError(f"row {rownum}: non-selected observation {oid!r} carries an outcome")
+            obs_ids.append(oid)
+            loc_ids.append(row[pos[schema.location]].strip())
+            sub_ids.append(row[pos[schema.sublocation]].strip())
+            selected.append(sel)
+            outcome.append(_parse_float(out_raw, rownum, schema.outcome) if sel else np.nan)
+            xs.append([_parse_float(row[pos[c]], rownum, c) for c in x_cols])
+            zs.append([_parse_float(row[pos[c]], rownum, c) for c in z_cols])
+            if coord_cols:
+                coords.append([_parse_float(row[pos[c]], rownum, c) for c in coord_cols])
+
+    if not obs_ids:
+        raise ValidationError(f"{path}: no data rows")
+    return ClusteredDataset(
+        obs_ids=np.array(obs_ids, dtype=object),
+        location_ids=np.array(loc_ids, dtype=object),
+        sublocation_ids=np.array(sub_ids, dtype=object),
+        selected=np.array(selected, dtype=bool),
+        outcome=np.array(outcome, dtype=np.float64),
+        x=np.array(xs, dtype=np.float64),
+        z=np.array(zs, dtype=np.float64),
+        coords=np.array(coords, dtype=np.float64) if coord_cols else None,
+        x_names=x_cols,
+        z_names=z_cols,
+    )

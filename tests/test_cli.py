@@ -277,5 +277,5 @@ def test_help_lists_flags(capsys):
     out = capsys.readouterr().out
     for flag in ("--input", "--adjacency", "--op", "--rule", "--d",
                  "--bandwidth", "--kernel", "--probit-dummies", "--boot",
-                 "--seed", "--out", "--threads"):
+                 "--seed", "--out"):
         assert flag in out

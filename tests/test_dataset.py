@@ -1,6 +1,10 @@
+import csv
+import io
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spatsel.dataset import (
@@ -15,6 +19,7 @@ from spatsel.dataset import (
 from spatsel.exceptions import ValidationError
 
 from conftest import make_dataset
+from oracles import row_loop_load_csv
 
 
 CSV_6ROW = """obs_id,location,sublocation,selected,y2,x1,z1
@@ -278,8 +283,173 @@ def test_group_pairs_matches_loop(codes):
 def test_load_adjacency(tmp_path):
     path = tmp_path / "adj.csv"
     path.write_text("a,b\nb,c\n\n", encoding="utf-8")
-    assert load_adjacency(path) == [("a", "b"), ("b", "c")]
+    pairs = load_adjacency(path)
+    assert pairs.dtype.kind == "U" and pairs.tolist() == [["a", "b"], ["b", "c"]]
     short = tmp_path / "bad.csv"
     short.write_text("a\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="two obs_id fields"):
         load_adjacency(short)
+
+
+# -- columnar load_csv against the row loop it replaced ------------------------
+
+LOAD_FAULTS = ("short", "duplicate", "flag", "empty_outcome", "carried_outcome",
+               "bad_outcome", "nan_outcome", "bad_x", "inf_x", "bad_z", "bad_coord")
+
+
+@st.composite
+def dataset_csv(draw):
+    """CSV text that is mostly valid, with up to two faulty rows and blank rows."""
+    pad = st.sampled_from(["", " ", "  "])
+    number = st.sampled_from(["0.5", "-1.25e3", "3", " 7 ", "1_0", "2.5E-3"])
+    coords = draw(st.booleans())
+    header = ["obs_id", "location", "sublocation", "selected", "y2", "x1", "z1"]
+    header += ["coord_x", "coord_y"] * coords
+    rows = []
+    n = draw(st.integers(2, 8))
+    for i in range(n):
+        sel = draw(st.booleans())
+        # the first and last rows lie in two different locations
+        location = {0: " L1", n - 1: "North, East"}.get(i) or draw(st.sampled_from(["L1", "L3"]))
+        row = [draw(pad) + draw(st.sampled_from([f"id{i}", f"id,{i}", f"{i}"])) + draw(pad),
+               location,
+               draw(st.sampled_from(["S1", "S 2", "a,b"])),
+               draw(pad) + ("1" if sel else "0") + draw(pad),
+               draw(number) if sel else draw(pad),
+               draw(number), draw(number)]
+        row += [draw(number), draw(number)] * coords
+        row += draw(st.lists(st.sampled_from(["", "extra", "9"]), max_size=2))
+        rows.append(row)
+    # up to two faulty rows among the first three, each with one or two faults
+    faults = [(i, kind) for i, kinds in draw(st.lists(st.tuples(
+        st.integers(0, min(n, 3) - 1),
+        st.lists(st.sampled_from(LOAD_FAULTS), min_size=1, max_size=2)), max_size=2))
+        for kind in kinds]
+    # a short row is cut last, after any other fault in it
+    for i, kind in sorted(faults, key=lambda f: f[1] == "short"):
+        row = rows[i]
+        if kind == "short":
+            del row[draw(st.integers(1, len(header) - 1)):]
+        elif kind == "duplicate":
+            row[0] = " " + rows[draw(st.integers(0, max(i - 1, 0)))][0].strip()
+        elif kind == "flag":
+            row[3] = draw(st.sampled_from(["yes", "2", "", " 01"]))
+        elif kind == "empty_outcome":
+            row[3], row[4] = "1", draw(pad)
+        elif kind == "carried_outcome":
+            row[3], row[4] = " 0", "4.5"
+        elif kind == "bad_outcome":
+            row[3], row[4] = "1", draw(st.sampled_from(["oops", "1,5", "--1"]))
+        elif kind == "nan_outcome":
+            row[3], row[4] = "1", "nan"
+        elif kind == "inf_x":
+            row[5] = " -inf"
+        else:
+            col = {"bad_x": 5, "bad_z": 6, "bad_coord": 7 if coords else 5}[kind]
+            row[col] = draw(st.sampled_from(["oops", " x ", "1.2.3"]))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    lines = buf.getvalue().splitlines(keepends=True)
+    for _ in range(draw(st.integers(0, 3))):
+        blank = draw(st.sampled_from(["\n", "   \n", " , ,\n", ",,,,,,,,,\n"]))
+        lines.insert(draw(st.integers(1, len(lines))), blank)
+    return "".join(lines)
+
+
+def _outcome_of(loader, path):
+    """(dataset or error text, warning texts) of one load."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = loader(path)
+        except ValidationError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+CSV_HEADER = "obs_id,location,sublocation,selected,y2,x1,z1\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=dataset_csv())
+# two faults in one row: the duplicate id is checked before the flag and the outcome
+@example(text=CSV_HEADER + "a,L1,S,1,1,0,0\n a ,L2,S,yes,,0,0\n")
+@example(text=CSV_HEADER + "a,L1,S,1,1,0,0\nb,L2,S,0,,0,0\n a,L2,S,1,,0,0\n")
+def test_load_csv_matches_row_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("parity") / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    got, got_warnings = _outcome_of(load_csv, path)
+    want, want_warnings = _outcome_of(row_loop_load_csv, path)
+    assert got_warnings == want_warnings
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    for name in ("obs_ids", "location_ids", "sublocation_ids"):
+        assert getattr(got, name).dtype.kind == "U"
+        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+    for name in ("selected", "x", "z", "location_codes", "sublocation_codes"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(got.outcome, want.outcome, equal_nan=True)
+    assert (got.coords is None) == (want.coords is None)
+    if want.coords is not None:
+        assert np.array_equal(got.coords, want.coords)
+    assert (got.x_names, got.z_names) == (want.x_names, want.z_names)
+
+
+def test_label_ending_in_nul_refused(tmp_path):
+    # fixed-width str arrays would drop the NUL and merge "L1\x00" into "L1"
+    bad = CSV_6ROW.replace("d,L2,", "d,L1\x00,")
+    with pytest.raises(ValidationError, match="row 5: column 'location' ends in a NUL"):
+        load_csv(_write(tmp_path, bad))
+
+
+def test_validation_error_shows_plain_id():
+    # fixed-width str ids are np.str_ scalars; messages show them as str
+    with pytest.raises(ValidationError) as exc:
+        ClusteredDataset(obs_ids=np.array(["a", "b", "c"]), location_ids=["L1", "L1", "L2"],
+                         sublocation_ids=["S", "S", "S"], selected=[True, False, True],
+                         outcome=[np.nan, np.nan, 1.0], x=np.zeros(3), z=np.zeros(3))
+    assert str(exc.value) == "observation 'a' (row 0) is selected but has no outcome"
+    with pytest.warns(UserWarning, match=r"single observation.*: 'L2'$"):
+        ClusteredDataset(obs_ids=np.array(["a", "b", "c"]), location_ids=np.array(["L1", "L1", "L2"]),
+                         sublocation_ids=["S", "S", "S"], selected=[True, False, True],
+                         outcome=[1.0, np.nan, 1.0], x=np.zeros(3), z=np.zeros(3))
+
+
+def test_edge_ends_of_another_kind_are_unknown():
+    # int ids never equal text edge ends, as in a dict lookup
+    ds = make_dataset(seed=0)
+    with pytest.raises(ValidationError, match=r"unknown obs_id '0' or '1'"):
+        build_neighborhoods(ds, "edges", edges=np.array([["0", "1"]]))
+    text_ds = ClusteredDataset(
+        obs_ids=ds.obs_ids.astype(str), location_ids=ds.location_ids,
+        sublocation_ids=ds.sublocation_ids, selected=ds.selected,
+        outcome=ds.outcome, x=ds.x, z=ds.z)
+    with pytest.raises(ValidationError, match=r"unknown obs_id 0 or 1"):
+        build_neighborhoods(text_ds, "edges", edges=[(0, 1)])
+    with pytest.raises(ValidationError, match=r"unknown obs_id 'zz' or '1'"):
+        build_neighborhoods(text_ds, "edges", edges=[("zz", "1")])
+    g = build_neighborhoods(text_ds, "edges", edges=[("0", "1"), ("1", "0")])
+    assert g.neighbors_of(0) == {1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12),
+       as_text=st.booleans())
+def test_edges_warn_exactly_when_asymmetric(pairs, as_text):
+    ds = make_dataset(n_locations=2, n_sublocations=1, n_per_sub=3, seed=0)
+    if as_text:
+        ds = ClusteredDataset(
+            obs_ids=ds.obs_ids.astype(str), location_ids=ds.location_ids,
+            sublocation_ids=ds.sublocation_ids, selected=ds.selected,
+            outcome=ds.outcome, x=ds.x, z=ds.z)
+        pairs = [(str(a), str(b)) for a, b in pairs]
+    given_pairs = set(pairs)
+    asymmetric = any((b, a) not in given_pairs for a, b in pairs if a != b)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = build_neighborhoods(ds, "edges", edges=pairs)
+    assert any("asymmetric" in str(w.message) for w in caught) == asymmetric
+    want = {(int(a), int(b)) for a, b in pairs if a != b}
+    want |= {(b, a) for a, b in want}
+    assert {(i, k) for i in range(ds.n_obs) for k in g.neighbors_of(i)} == want

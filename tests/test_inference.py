@@ -179,6 +179,21 @@ def test_ci_test_inversion_contains_estimate():
         assert inner.p_value > 0.05
 
 
+def test_ci_keeps_null_whose_p_equals_alpha():
+    # p_boot is exactly 20/400 = 0.05 at nulls -33.25 to -35 on this input;
+    # those nulls stay inside the 95% interval, so its lower end lies past -35
+    ds, op, fit = fitted_cell(J=10, s=2, n=4, seed=6)
+    res = wild_cluster_bootstrap(fit, op, ds, "x1", null_value=1.0, B=399,
+                                 seed=3, compute_ci=True)
+    for null in (-33.25, -35.0):
+        kept = wild_cluster_bootstrap(fit, op, ds, "x1", null_value=null, B=399, seed=3)
+        assert kept.p_value == 20 / 400
+    assert res.ci_low < -35.0
+    beyond = wild_cluster_bootstrap(fit, op, ds, "x1", null_value=res.ci_low - 0.01,
+                                    B=399, seed=3)
+    assert beyond.p_value < 0.05
+
+
 @pytest.mark.parametrize("draws", [{"B": 199, "seed": 8}, {"full_enumeration": True}],
                          ids=["draws", "enumeration"])
 @pytest.mark.parametrize("null", [0.0, 1.0])
