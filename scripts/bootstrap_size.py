@@ -3,7 +3,11 @@
 
 Generates data with the x coefficient truly equal to 1, tests that null
 with the restricted wild cluster bootstrap on the sub-location
-differencing fit, and reports the rejection rate at the 5% level.
+differencing fit, and reports the rejection rate at the 5% level. A draw
+rejects when its p-value is strictly below 0.05, the rule the bootstrap
+interval applies.
+
+    python3 scripts/bootstrap_size.py --locations 6 --outer 5 --boot 99
 """
 
 import argparse
@@ -46,7 +50,7 @@ def main() -> int:
         res = wild_cluster_bootstrap(fit, op, ds, "x1", null_value=1.0,
                                      B=args.boot, seed=r)
         done += 1
-        rejections += res.p_value <= 0.05
+        rejections += res.p_value < 0.05
 
     rate = rejections / done if done else float("nan")
     print(f"clusters={args.locations} outer={done} failures={failures} "

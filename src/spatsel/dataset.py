@@ -4,7 +4,8 @@ A dataset is a flat list of observations, each belonging to one location
 and one sub-location nested inside it. Selection is a 0/1 indicator; the
 outcome is recorded only for selected rows. Storage is column-oriented
 (numpy arrays) so the simulation harness can build thousands of datasets
-cheaply.
+cheaply. A group (location or sub-location) is held only as its dense
+integer code; `group_layout` and `group_pairs` lay groups out from codes.
 
 CSV ingestion is columnar too: `load_csv` reads every record, transposes
 once and parses each numeric column in one pass, and runs each record
@@ -20,7 +21,6 @@ import csv
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
 
@@ -148,32 +148,6 @@ class ClusteredDataset:
                 stacklevel=3,
             )
 
-    # -- index maps (API/diagnostics; derived lazily) ----------------------
-    @cached_property
-    def locations(self) -> dict:
-        """Map location_id -> array of member observation indices."""
-        out: dict = {}
-        order = np.argsort(self.location_codes, kind="stable")
-        codes = self.location_codes[order]
-        bounds = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1], True])
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            members = order[a:b]
-            out[self.location_ids[members[0]]] = members
-        return out
-
-    @cached_property
-    def sublocations(self) -> dict:
-        """Map (location_id, sublocation_id) -> array of member indices."""
-        out: dict = {}
-        order = np.argsort(self.sublocation_codes, kind="stable")
-        codes = self.sublocation_codes[order]
-        bounds = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1], True])
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            members = order[a:b]
-            i = members[0]
-            out[(self.location_ids[i], self.sublocation_ids[i])] = members
-        return out
-
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
@@ -206,6 +180,15 @@ def _detect_block(header: Sequence[str], prefix: str) -> list[str]:
         cols.append(f"{prefix}{k}")
         k += 1
     return cols
+
+
+def _records(fh, path):
+    """Records of an open CSV file; an unreadable one is a ValidationError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _filled(rows: list) -> tuple[list, np.ndarray]:
@@ -242,11 +225,12 @@ def load_csv(path, schema: CsvSchema | None = None) -> ClusteredDataset:
     check in this order: field count, an id or label ending in a NUL
     character, duplicate obs_id, the 0/1 selection flag, outcome present
     exactly when selected, then each number (outcome, x, z, coordinates).
-    Rows after a short row are not checked.
+    Rows after a short row are not checked. A record the csv module cannot
+    read is refused before any row is checked.
     """
     schema = schema or CsvSchema()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _records(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -369,20 +353,19 @@ def write_csv(ds: ClusteredDataset, path) -> None:
     """Write a dataset in the canonical CSV layout (full float precision)."""
     header = ["obs_id", "location", "sublocation", "selected", "y2",
               *ds.x_names, *ds.z_names]
+    numbers = [ds.x, ds.z]
     if ds.coords is not None:
         header += ["coord_x", "coord_y"]
+        numbers.append(ds.coords)
+    # column by column; a cell's text is made only as its row is written, so
+    # the text of the whole file is never held at once (repr keeps floats exact)
+    cols = [ds.obs_ids, ds.location_ids, ds.sublocation_ids, ds.selected.astype(int).tolist(),
+            (repr(float(v)) if s else "" for v, s in zip(ds.outcome, ds.selected))]
+    cols += [map(repr, map(float, c)) for block in numbers for c in block.T]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(ds.n_obs):
-            row = [ds.obs_ids[i], ds.location_ids[i], ds.sublocation_ids[i],
-                   int(ds.selected[i]),
-                   repr(float(ds.outcome[i])) if ds.selected[i] else ""]
-            row += [repr(float(v)) for v in ds.x[i]]
-            row += [repr(float(v)) for v in ds.z[i]]
-            if ds.coords is not None:
-                row += [repr(float(v)) for v in ds.coords[i]]
-            writer.writerow(row)
+        writer.writerows(zip(*cols))
 
 
 def load_adjacency(path) -> np.ndarray:
@@ -392,7 +375,7 @@ def load_adjacency(path) -> np.ndarray:
     are ignored.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows, record = _filled(list(csv.reader(fh)))
+        rows, record = _filled(list(_records(fh, path)))
     short = np.flatnonzero(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) < 2)
     if short.size:
         raise ValidationError(f"adjacency row {record[short[0]] + 1}: expected two obs_id fields")
@@ -442,46 +425,27 @@ def group_pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class NeighborhoodGraph:
     """Symmetric, irreflexive neighbor sets over the observations of a dataset.
 
-    For the membership rules (`sublocation`, `location`) only the group
-    codes are stored; adjacency lists are materialised lazily since the
-    operator builders can work from the codes directly. Neighbor indices
-    ascend within each adjacency row.
+    A membership rule (`sublocation`, `location`) keeps only `group_codes`:
+    the neighbors of an observation are the others carrying its code. The
+    other rules keep CSR adjacency (`indptr`, `indices`) instead, neighbor
+    indices ascending within each row.
     """
 
     n_obs: int
-    source: str
     location_codes: np.ndarray
     group_codes: np.ndarray | None = None
-    _indptr: np.ndarray | None = None
-    _indices: np.ndarray | None = None
-
-    def _materialize(self) -> None:
-        i, self._indices = group_pairs(self.group_codes)
-        self._indptr = np.zeros(self.n_obs + 1, dtype=np.int64)
-        np.cumsum(np.bincount(i, minlength=self.n_obs), out=self._indptr[1:])
-
-    @property
-    def indptr(self) -> np.ndarray:
-        if self._indptr is None:
-            self._materialize()
-        return self._indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        if self._indices is None:
-            self._materialize()
-        return self._indices
+    indptr: np.ndarray | None = None
+    indices: np.ndarray | None = None
 
     def neighbors_of(self, i: int) -> set:
         """The neighbor set of observation index i (self excluded)."""
+        if self.group_codes is not None:
+            return set(np.flatnonzero(self.group_codes == self.group_codes[i]).tolist()) - {i}
         return set(self.indices[self.indptr[i]:self.indptr[i + 1]].tolist())
 
-    def neighbor_map(self) -> dict[int, set]:
-        return {i: self.neighbors_of(i) for i in range(self.n_obs)}
 
-
-def _graph_from_pairs(ds: ClusteredDataset, src: np.ndarray, dst: np.ndarray,
-                      source: str) -> NeighborhoodGraph:
+def _graph_from_pairs(ds: ClusteredDataset, src: np.ndarray,
+                      dst: np.ndarray) -> NeighborhoodGraph:
     # Symmetrize, drop self loops and duplicates, then pack to CSR.
     keep = src != dst
     if not keep.all():
@@ -494,10 +458,8 @@ def _graph_from_pairs(ds: ClusteredDataset, src: np.ndarray, dst: np.ndarray,
     a, b = np.divmod(keys[np.diff(keys, prepend=-1) > 0], ds.n_obs)
     indptr = np.zeros(ds.n_obs + 1, dtype=np.int64)
     np.cumsum(np.bincount(a, minlength=ds.n_obs), out=indptr[1:])
-    return NeighborhoodGraph(
-        n_obs=ds.n_obs, source=source, location_codes=ds.location_codes,
-        group_codes=None, _indptr=indptr, _indices=b,
-    )
+    return NeighborhoodGraph(n_obs=ds.n_obs, location_codes=ds.location_codes,
+                             indptr=indptr, indices=b)
 
 
 def build_neighborhoods(ds: ClusteredDataset, rule: str, *,
@@ -519,14 +481,10 @@ def build_neighborhoods(ds: ClusteredDataset, rule: str, *,
     if rule not in NEIGHBOR_RULES:
         raise ValidationError(f"unknown neighborhood rule {rule!r}; expected one of {NEIGHBOR_RULES}")
 
-    if rule == "sublocation":
-        return NeighborhoodGraph(n_obs=ds.n_obs, source=rule,
-                                 location_codes=ds.location_codes,
-                                 group_codes=ds.sublocation_codes)
-    if rule == "location":
-        return NeighborhoodGraph(n_obs=ds.n_obs, source=rule,
-                                 location_codes=ds.location_codes,
-                                 group_codes=ds.location_codes)
+    if rule in ("sublocation", "location"):
+        codes = ds.location_codes if rule == "location" else ds.sublocation_codes
+        return NeighborhoodGraph(n_obs=ds.n_obs, location_codes=ds.location_codes,
+                                 group_codes=codes)
     if rule == "edges":
         if edges is None:
             raise ValidationError("rule 'edges' requires an adjacency list")
@@ -549,7 +507,7 @@ def build_neighborhoods(ds: ClusteredDataset, rule: str, *,
         reverse = dst[~loops] * ds.n_obs + src[~loops]
         if not (keys[np.searchsorted(keys, reverse).clip(max=len(keys) - 1)] == reverse).all():
             warnings.warn("edge list is asymmetric; it was symmetrized", stacklevel=2)
-        return _graph_from_pairs(ds, src, dst, "edges")
+        return _graph_from_pairs(ds, src, dst)
 
     # distance rule
     if d is None or not d > 0:
@@ -558,11 +516,5 @@ def build_neighborhoods(ds: ClusteredDataset, rule: str, *,
         raise ValidationError("rule 'distance' requires coordinates on every observation")
     from scipy.spatial import cKDTree
 
-    tree = cKDTree(ds.coords)
-    pairs = tree.query_pairs(r=float(d), output_type="ndarray")
-    if len(pairs) == 0:
-        src = np.empty(0, dtype=np.int64)
-        dst = np.empty(0, dtype=np.int64)
-    else:
-        src, dst = pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
-    return _graph_from_pairs(ds, src, dst, "distance")
+    pairs = cKDTree(ds.coords).query_pairs(r=float(d), output_type="ndarray").reshape(-1, 2)
+    return _graph_from_pairs(ds, pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64))

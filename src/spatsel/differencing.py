@@ -83,8 +83,7 @@ class DifferenceOperator:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = _csv.writer(fh)
             writer.writerow(["row", "col", "weight"])
-            for triple in zip(r.tolist(), c.tolist(), w.tolist()):
-                writer.writerow([triple[0], triple[1], repr(triple[2])])
+            writer.writerows(zip(r.tolist(), c.tolist(), map(repr, w.tolist())))
 
 
 # ---------------------------------------------------------------------------

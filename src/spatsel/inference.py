@@ -46,7 +46,6 @@ class BootstrapResult:
     ci_low: float | None
     ci_high: float | None
     replications: int
-    weights: str
     seed: int
 
 
@@ -117,11 +116,10 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
     col = fit.names.index(coef)
 
     clusters = _row_clusters(op, ds)
-    uniq = np.unique(clusters)
+    uniq, cluster_idx = np.unique(clusters, return_inverse=True)
     n_clusters = len(uniq)
     if n_clusters < 2:
         raise ValidationError("need at least 2 locations to cluster on")
-    cluster_idx = np.searchsorted(uniq, clusters)
 
     x = fit.design_diff
     y = fit.outcome_diff
@@ -187,8 +185,7 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
 
     return BootstrapResult(
         coefficient=coef, t_observed=t_obs, p_value=p_value,
-        ci_low=ci_low, ci_high=ci_high, replications=reps,
-        weights="rademacher", seed=seed,
+        ci_low=ci_low, ci_high=ci_high, replications=reps, seed=seed,
     )
 
 

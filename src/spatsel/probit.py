@@ -124,13 +124,14 @@ def fit_probit(ds: ClusteredDataset, spec: ProbitSpec | None = None) -> ProbitFi
     dummy_locations: list = []
     reference = None
     if spec.include_location_dummies:
-        kept = []
-        for lid, members in ds.locations.items():
-            sel = s_mask[members]
-            if sel.all() or not sel.any():
-                dropped.append(lid)
-            else:
-                kept.append(lid)
+        # ids are read at each location's first row, in code order; a dummy
+        # separates when none or all of its location's rows are selected
+        codes = ds.location_codes
+        _, first = np.unique(codes, return_index=True)
+        n_sel_at = np.bincount(codes[s_mask], minlength=len(first))
+        constant = (n_sel_at == 0) | (n_sel_at == np.bincount(codes))
+        dropped = list(ds.location_ids[first[constant]])
+        kept = list(ds.location_ids[first[~constant]])
         if not kept:
             raise SeparationError(
                 "every location's selection indicator is constant; "

@@ -8,7 +8,8 @@ inverse Mills ratio comes from scipy.stats.norm rather than the package's
 own kernels. `row_level_bootstrap` is the wild cluster bootstrap evaluated
 draw by draw over every differenced row. `loop_operator` builds a
 difference operator row by row from the graph's neighbor sets.
-`row_loop_load_csv` reads a dataset CSV one row at a time.
+`row_loop_load_csv` reads a dataset CSV one row at a time and
+`row_loop_write_csv` writes one the same way.
 """
 
 import csv
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import norm
 
-from spatsel.dataset import ClusteredDataset, CsvSchema, _detect_block
+from spatsel.dataset import ClusteredDataset, CsvSchema, _detect_block, _records
 from spatsel.exceptions import ValidationError
 
 
@@ -230,7 +231,8 @@ def row_loop_load_csv(path, schema=None):
     """
     schema = schema or CsvSchema()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        # a record the csv module cannot read raises where the loop meets it
+        reader = _records(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -301,3 +303,23 @@ def row_loop_load_csv(path, schema=None):
         x_names=x_cols,
         z_names=z_cols,
     )
+
+
+def row_loop_write_csv(ds, path):
+    """Reference `write_csv`: the row-by-row writer it replaced, kept verbatim."""
+    header = ["obs_id", "location", "sublocation", "selected", "y2",
+              *ds.x_names, *ds.z_names]
+    if ds.coords is not None:
+        header += ["coord_x", "coord_y"]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(ds.n_obs):
+            row = [ds.obs_ids[i], ds.location_ids[i], ds.sublocation_ids[i],
+                   int(ds.selected[i]),
+                   repr(float(ds.outcome[i])) if ds.selected[i] else ""]
+            row += [repr(float(v)) for v in ds.x[i]]
+            row += [repr(float(v)) for v in ds.z[i]]
+            if ds.coords is not None:
+                row += [repr(float(v)) for v in ds.coords[i]]
+            writer.writerow(row)

@@ -19,7 +19,7 @@ from spatsel.dataset import (
 from spatsel.exceptions import ValidationError
 
 from conftest import make_dataset
-from oracles import row_loop_load_csv
+from oracles import row_loop_load_csv, row_loop_write_csv
 
 
 CSV_6ROW = """obs_id,location,sublocation,selected,y2,x1,z1
@@ -41,7 +41,7 @@ def _write(tmp_path, text, name="data.csv"):
 def test_load_csv_basic(tmp_path):
     ds = load_csv(_write(tmp_path, CSV_6ROW))
     assert ds.n_obs == 6
-    assert len(ds.locations) == 2
+    assert len(np.unique(ds.location_codes)) == 2
     assert ds.p == 1 and ds.q == 1
     assert ds.n_selected == 4
     assert np.isnan(ds.outcome[2])
@@ -121,6 +121,26 @@ def test_round_trip_exact(tmp_path):
     assert np.array_equal(back.sublocation_codes, ds.sublocation_codes)
 
 
+@pytest.mark.parametrize("str_ids", [True, False], ids=["str-ids-coords", "int-ids"])
+def test_write_csv_matches_row_loop(tmp_path, str_ids):
+    ds = make_dataset(n_locations=3, n_sublocations=2, n_per_sub=4, p=2, q=2, seed=3)
+    assert 0 < ds.n_selected < ds.n_obs
+    if str_ids:
+        # an id with a comma and a quote makes the writer quote the field
+        obs = [f"o{i}" for i in range(ds.n_obs)]
+        obs[1] = 'o,"1"'
+        ds = ClusteredDataset(
+            obs_ids=np.array(obs), location_ids=np.char.add("L", ds.location_ids.astype(str)),
+            sublocation_ids=np.char.add("S", ds.sublocation_ids.astype(str)),
+            selected=ds.selected, outcome=ds.outcome, x=ds.x, z=ds.z,
+            coords=np.random.default_rng(3).standard_normal((ds.n_obs, 2)) * 1e3,
+        )
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(ds, got)
+    row_loop_write_csv(ds, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_double_round_trip_exact(tmp_path):
     # after one write/load cycle all fields live in CSV-native types, so a
     # second cycle reproduces every field exactly
@@ -172,9 +192,10 @@ def test_round_trip_property(tmp_path_factory, seed, p, q):
 def test_sublocations_nest_within_locations():
     ds = make_dataset(n_locations=3, n_sublocations=2, n_per_sub=2, seed=5)
     # sublocation id "1" appears in every location but codes must differ
-    assert len(ds.sublocations) == 6
-    for (lid, _), members in ds.sublocations.items():
-        assert (ds.location_ids[members] == lid).all()
+    assert len(np.unique(ds.sublocation_codes)) == 6
+    # each sub-location code lies inside one location
+    pairs = np.unique(np.column_stack([ds.sublocation_codes, ds.location_codes]), axis=0)
+    assert len(pairs) == 6
 
 
 # -- neighborhoods -----------------------------------------------------------
@@ -194,11 +215,12 @@ def test_graph_symmetry_and_irreflexivity():
     ds = make_dataset(n_locations=3, n_sublocations=2, n_per_sub=4, seed=2)
     for rule in ("sublocation", "location"):
         g = build_neighborhoods(ds, rule)
-        nm = g.neighbor_map()
-        for i, nb in nm.items():
-            assert i not in nb
-            for k in nb:
-                assert i in nm[k]
+        i, k = group_pairs(g.group_codes)
+        assert not (i == k).any()
+        pairs = set(zip(i.tolist(), k.tolist()))
+        assert pairs == {(b, a) for a, b in pairs}
+        for a in range(ds.n_obs):
+            assert g.neighbors_of(a) == set(k[i == a].tolist())
 
 
 def test_distance_rule_threshold():
@@ -265,6 +287,11 @@ def test_build_neighborhoods_deterministic():
     ds = make_dataset(n_locations=3, n_sublocations=2, n_per_sub=3, seed=9)
     g1 = build_neighborhoods(ds, "sublocation")
     g2 = build_neighborhoods(ds, "sublocation")
+    assert g1.indptr is None and np.array_equal(g1.group_codes, g2.group_codes)
+    ds.coords = np.random.default_rng(9).random((ds.n_obs, 2))
+    g1 = build_neighborhoods(ds, "distance", d=0.3)
+    g2 = build_neighborhoods(ds, "distance", d=0.3)
+    assert g1.group_codes is None
     assert np.array_equal(g1.indptr, g2.indptr)
     assert np.array_equal(g1.indices, g2.indices)
 
@@ -289,6 +316,23 @@ def test_load_adjacency(tmp_path):
     short.write_text("a\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="two obs_id fields"):
         load_adjacency(short)
+
+
+def _oversized_field():
+    # one character past the csv module's default field size limit
+    return "a" * (csv.field_size_limit() + 1)
+
+
+def test_load_csv_unreadable_record_is_validation_error(tmp_path):
+    bad = CSV_6ROW.replace("e,L2,", f"{_oversized_field()},L2,")
+    with pytest.raises(ValidationError, match=r"data\.csv: line 6: field larger than field limit"):
+        load_csv(_write(tmp_path, bad))
+
+
+def test_load_adjacency_unreadable_record_is_validation_error(tmp_path):
+    path = _write(tmp_path, f"a,b\nb,{_oversized_field()}\n", name="adj.csv")
+    with pytest.raises(ValidationError, match=r"adj\.csv: line 2: field larger than field limit"):
+        load_adjacency(path)
 
 
 # -- columnar load_csv against the row loop it replaced ------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spatsel.dataset import ClusteredDataset, NeighborhoodGraph, build_neighborhoods
+from spatsel.dataset import ClusteredDataset, NeighborhoodGraph, build_neighborhoods, group_pairs
 from spatsel.differencing import (
     fixed_effect_operator,
     kernel_operator,
@@ -314,10 +314,11 @@ def test_membership_and_graph_paths_agree_small_groups(rule, sel):
 
 def _assert_membership_and_graph_agree(ds, sel, rule, kind, seed):
     fast = build_neighborhoods(ds, rule)
-    slow = NeighborhoodGraph(
-        n_obs=ds.n_obs, source="edges", location_codes=ds.location_codes,
-        group_codes=None, _indptr=fast.indptr, _indices=fast.indices,
-    )
+    i, k = group_pairs(fast.group_codes)
+    indptr = np.zeros(ds.n_obs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(i, minlength=ds.n_obs), out=indptr[1:])
+    slow = NeighborhoodGraph(n_obs=ds.n_obs, location_codes=ds.location_codes,
+                             indptr=indptr, indices=k)
     if kind == "pairwise":
         a, b = pairwise_operator(fast, sel), pairwise_operator(slow, sel)
     elif kind == "fixed_effect":

@@ -282,7 +282,6 @@ def test_result_fields():
     ds, op, fit = fitted_cell()
     res = wild_cluster_bootstrap(fit, op, ds, "x1", null_value=1.0, B=99, seed=5)
     assert res.coefficient == "x1"
-    assert res.weights == "rademacher"
     assert res.replications == 99
     assert res.seed == 5
     assert res.ci_low is None and res.ci_high is None

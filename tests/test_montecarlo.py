@@ -23,8 +23,8 @@ def test_generate_sample_arithmetic():
     cell = SimCell(J=20, s=2, n=3, seed=0)
     ds = generate_sample(cell, rep_seed(cell, 0))
     assert ds.n_obs == 120
-    assert len(ds.locations) == 20
-    assert len(ds.sublocations) == 40
+    assert len(np.unique(ds.location_codes)) == 20
+    assert len(np.unique(ds.sublocation_codes)) == 40
     assert ds.p == 1 and ds.q == 1
 
 
@@ -65,7 +65,7 @@ def test_effect_formulas_use_ordinal_indexes():
     ds_big = generate_sample(big, rep_seed(big, 0))
     sel = ds_big.selected
     for j in (1, 2, 3):
-        members = ds_big.locations[j]
+        members = ds_big.location_ids == j
         vals = ds_big.outcome[members]
         vals = vals[np.isfinite(vals)]
         if len(vals):

@@ -128,11 +128,11 @@ def test_permutation_invariance():
 
 
 def test_location_dummies_and_separation_drop():
-    ds = make_dataset(n_locations=4, n_sublocations=2, n_per_sub=10, seed=9)
-    # force one location to be entirely selected
-    members = ds.locations[1]
+    ds = make_dataset(n_locations=5, n_sublocations=2, n_per_sub=10, seed=9)
+    # location 2 is entirely selected and location 4 entirely unselected
     sel = ds.selected.copy()
-    sel[members] = True
+    sel[ds.location_ids == 2] = True
+    sel[ds.location_ids == 4] = False
     out = np.where(sel, np.nan_to_num(ds.outcome, nan=0.0), np.nan)
     ds2 = ClusteredDataset(
         obs_ids=ds.obs_ids, location_ids=ds.location_ids,
@@ -141,11 +141,24 @@ def test_location_dummies_and_separation_drop():
     )
     fit = fit_probit(ds2, ProbitSpec(include_location_dummies=True))
     assert fit.converged
-    assert 1 in fit.dropped_dummies
-    assert 1 not in fit.dummy_locations
-    # reference category absorbed by the intercept
-    assert fit.reference_location is not None
-    assert len(fit.column_names) == len(fit.beta)
+    # ids come back as numpy scalars in code order; the first kept
+    # location is the reference absorbed by the intercept
+    assert fit.dropped_dummies == [2, 4]
+    assert fit.reference_location == 1
+    assert fit.dummy_locations == [3, 5]
+    assert all(isinstance(lid, np.integer)
+               for lid in [*fit.dropped_dummies, *fit.dummy_locations, fit.reference_location])
+    assert fit.column_names == ["z1", "loc[3]", "loc[5]", "const"]
+    # the same design with the kept dummies given as z columns fits bitwise alike
+    dummies = [(ds2.location_ids == lid).astype(np.float64) for lid in (3, 5)]
+    explicit = ClusteredDataset(
+        obs_ids=ds2.obs_ids, location_ids=ds2.location_ids,
+        sublocation_ids=ds2.sublocation_ids, selected=sel, outcome=out,
+        x=ds2.x, z=np.column_stack([ds2.z, *dummies]),
+    )
+    ref = fit_probit(explicit)
+    assert np.array_equal(fit.beta, ref.beta)
+    assert np.array_equal(fit.vbeta, ref.vbeta)
 
 
 def test_predict_index_zero_beta():
