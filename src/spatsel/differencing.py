@@ -1,6 +1,6 @@
 """Spatial difference operators over the selected subsample.
 
-An operator is a sparse M x N linear map taking vectors indexed by the N
+An operator is a linear M x N map D taking vectors indexed by the N
 selected observations to M differenced equations. Every row sums to zero,
 so anything constant within the row's neighborhood (location effects,
 sub-location effects under membership graphs) is annihilated. Three kinds:
@@ -11,16 +11,23 @@ fixed_effect  one row per selected anchor i: +1 at i, -1/N_d at each
 kernel        like fixed_effect but neighbors weighted by a kernel in the
               distance between plug-in index values, normalised to sum one
 
+The estimator reads an operator only through four methods: `apply` (D v),
+`apply_transpose` (D' u), `row_norms_sq` and `column_sums` (the sum of a
+row vector over the rows touching each column).
+
 Under a membership rule (`sublocation`, `location`) a fixed_effect row is
-the anchor's whole selected group: its m member columns in ascending
-order, -1/(m-1) at each and +1 at the anchor. Those rows are laid out
-straight from the sorted group codes. Every other operator is built from
-one list of ordered (anchor, partner) column pairs, sorted by anchor then
-partner, as D = E - P: E has a unit row at each row's anchor column and P
-the partner weights. Because the pair list is sorted, P is a CSR matrix as
-it stands, and scipy's sparse subtraction slots each anchor's +1 among its
-partners. Either way rows ascend by anchor column and the columns ascend
-within each row, whatever the neighborhood rule.
+the anchor's whole selected group of m members: -1/(m-1) at each and +1 at
+the anchor, so each group block is m/(m-1) (I - 11'/m). A
+`MembershipOperator` keeps the group codes and evaluates every method as a
+scaled within-group demeaning, one `bincount` per column; it lays its CSR
+`matrix` out from the codes only when something reads it. Every other
+operator is a `CsrOperator` built from one list of ordered (anchor,
+partner) column pairs, sorted by anchor then partner, as D = E - P: E has
+a unit row at each row's anchor column and P the partner weights. Because
+the pair list is sorted, P is a CSR matrix as it stands, and scipy's
+sparse subtraction slots each anchor's +1 among its partners. Either way
+rows ascend by anchor column and the columns ascend within each row,
+whatever the neighborhood rule.
 
 Rows never mix locations; neighbors from a different location are skipped
 and counted. Anchors that yield no row (no usable neighbor, or zero total
@@ -30,7 +37,7 @@ kernel weight) are counted in `dropped_anchors`.
 from __future__ import annotations
 
 import csv as _csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -42,20 +49,27 @@ from .exceptions import ValidationError
 KERNELS = ("epanechnikov", "gaussian")
 
 
-@dataclass
+def _leading(v, n: int) -> np.ndarray:
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape[0] != n:
+        raise ValidationError(f"operator expects leading dimension {n}, got {v.shape[0]}")
+    return v
+
+
+@dataclass(kw_only=True)
 class DifferenceOperator:
-    """Sparse difference map with bookkeeping for diagnostics.
+    """Difference map with bookkeeping for diagnostics.
 
     `anchor[r]` is the operator-column index of row r's anchor observation;
     for pairwise operators `partner[r]` is the column of the subtracted
     observation. `selected_indices[c]` maps column c back to the dataset
-    row it represents.
+    row it represents. The methods here read the CSR `matrix` a subclass
+    provides.
     """
 
     kind: str
     rows: int
     cols: int
-    matrix: sparse.csr_matrix
     anchor: np.ndarray
     partner: np.ndarray | None
     selected_indices: np.ndarray
@@ -69,13 +83,27 @@ class DifferenceOperator:
         return coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply the operator to a vector or matrix over selected observations."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape[0] != self.cols:
-            raise ValidationError(
-                f"operator expects leading dimension {self.cols}, got {v.shape[0]}"
-            )
-        return self.matrix @ v
+        """D v for a vector or matrix over selected observations."""
+        return self.matrix @ _leading(v, self.cols)
+
+    def apply_transpose(self, u: np.ndarray) -> np.ndarray:
+        """D' u for a vector or matrix over differenced rows."""
+        return self.matrix.T @ _leading(u, self.rows)
+
+    def _row_of(self) -> np.ndarray:
+        return np.repeat(np.arange(self.rows), np.diff(self.matrix.indptr))
+
+    def row_norms_sq(self) -> np.ndarray:
+        """Squared Euclidean norm of each row."""
+        data = self.matrix.data
+        return np.bincount(self._row_of(), weights=data * data, minlength=self.rows)
+
+    def column_sums(self, s: np.ndarray) -> np.ndarray:
+        """Per column, the sum of the row vector `s` over the rows with a
+        stored entry in that column; `column_sums(ones)` counts those rows."""
+        s = _leading(s, self.rows)
+        return np.bincount(self.matrix.indices, weights=s[self._row_of()],
+                           minlength=self.cols)
 
     def dump_csv(self, path) -> None:
         """Debug dump as a triple-list CSV (row,col,weight)."""
@@ -84,6 +112,90 @@ class DifferenceOperator:
             writer = _csv.writer(fh)
             writer.writerow(["row", "col", "weight"])
             writer.writerows(zip(r.tolist(), c.tolist(), map(repr, w.tolist())))
+
+
+@dataclass(kw_only=True)
+class CsrOperator(DifferenceOperator):
+    """Operator held as its CSR matrix."""
+
+    matrix: sparse.csr_matrix = field(repr=False)
+
+
+@dataclass(kw_only=True)
+class MembershipOperator(DifferenceOperator):
+    """Fixed-effect operator of a membership graph, held as group codes.
+
+    `codes[c]` is column c's group code and `sizes[g]` the number of
+    columns in group g. There is one row per column whose group has m >= 2
+    members, so row r and column `anchor[r]` share a group, and within a
+    group D (and D') maps t to (m t - sum t) / (m - 1). The per-row group
+    arrays are formed on each call rather than cached on the operator:
+    cached, they raised peak RSS over a run of N = 1e5 fits by ~5 MB.
+    """
+
+    codes: np.ndarray = field(repr=False)
+    sizes: np.ndarray = field(repr=False)
+
+    def _groups(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(group code of each row, its group size m as float, code count)."""
+        row_codes = self.codes[self.anchor]
+        return row_codes, self.sizes[row_codes].astype(np.float64), len(self.sizes)
+
+    def _demean(self, t: np.ndarray) -> np.ndarray:
+        """(m t - group sum of t) / (m - 1) for t indexed by rows.
+
+        Column by column: broadcasting m over a few columns at once runs
+        numpy's inner loop along the short axis, at twice the cost."""
+        row_codes, m, n_codes = self._groups()
+        cols = t if t.ndim > 1 else t[:, None]
+        out = np.empty_like(cols)
+        for j in range(cols.shape[1]):
+            c = cols[:, j]
+            sums = np.bincount(row_codes, weights=c, minlength=n_codes)
+            out[:, j] = (m * c - sums[row_codes]) / (m - 1.0)
+        return out if t.ndim > 1 else out[:, 0]
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self._demean(_leading(v, self.cols)[self.anchor])
+
+    def apply_transpose(self, u: np.ndarray) -> np.ndarray:
+        u = _leading(u, self.rows)
+        out = np.zeros((self.cols,) + u.shape[1:])
+        out[self.anchor] = self._demean(u)
+        return out
+
+    def row_norms_sq(self) -> np.ndarray:
+        _, m, _ = self._groups()
+        return m / (m - 1.0)
+
+    def column_sums(self, s: np.ndarray) -> np.ndarray:
+        # every member column of a group lies in all of its m rows
+        row_codes, _, n_codes = self._groups()
+        sums = np.bincount(row_codes, weights=_leading(s, self.rows), minlength=n_codes)
+        out = np.zeros(self.cols)
+        out[self.anchor] = sums[row_codes]
+        return out
+
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        """The CSR layout: each row holds its group's columns in ascending
+        order, -1/(m-1) at each and +1 at the anchor."""
+        n = self.cols
+        row_codes = self.codes[self.anchor]
+        sizes, order, start, rank = group_layout(self.codes)
+        lens = sizes[row_codes]
+        indptr = np.zeros(self.rows + 1, dtype=np.int64)
+        np.cumsum(lens, out=indptr[1:])
+        # row r reads its group's slice of `order`, from start[code] onwards
+        slot = np.arange(indptr[-1], dtype=np.int64)
+        slot -= np.repeat(indptr[:-1] - start[row_codes], lens)
+        # gather int32 columns when they fit, the index dtype scipy would pick,
+        # so the CSR constructor neither scans nor converts them
+        if n <= np.iinfo(np.int32).max:
+            order = order.astype(np.int32)
+        data = np.repeat(-(1.0 / (lens - 1)), lens)
+        data[indptr[:-1] + rank[self.anchor]] = 1.0
+        return sparse.csr_matrix((data, order[slot], indptr), shape=(self.rows, n))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +243,7 @@ def _unit_rows(cols: np.ndarray, n: int) -> sparse.csr_matrix:
 
 
 def _anchored(kind: str, sel: np.ndarray, counts: np.ndarray, k: np.ndarray,
-              w: np.ndarray, skipped: int) -> DifferenceOperator:
+              w: np.ndarray, skipped: int) -> CsrOperator:
     """One row per anchor: E - P, with +1 at the anchor and -w at each partner.
 
     `counts[c]` is the number of pairs anchored at column c. The pairs are
@@ -145,7 +257,7 @@ def _anchored(kind: str, sel: np.ndarray, counts: np.ndarray, k: np.ndarray,
     indptr = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(counts[anchors], out=indptr[1:])
     partners = sparse.csr_matrix((w, k, indptr), shape=(rows, n))
-    return DifferenceOperator(
+    return CsrOperator(
         kind=kind, rows=rows, cols=n, matrix=_unit_rows(anchors, n) - partners,
         anchor=anchors, partner=None, selected_indices=sel,
         dropped_anchors=n - rows, skipped_cross_location=skipped,
@@ -157,7 +269,7 @@ def _anchored(kind: str, sel: np.ndarray, counts: np.ndarray, k: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def pairwise_operator(graph: NeighborhoodGraph, selected) -> DifferenceOperator:
+def pairwise_operator(graph: NeighborhoodGraph, selected) -> CsrOperator:
     """One +1/-1 row per unordered selected neighbor pair within a location.
 
     Each pair appears once, anchored at the lower column index. An empty
@@ -172,7 +284,7 @@ def pairwise_operator(graph: NeighborhoodGraph, selected) -> DifferenceOperator:
     # a selected observation is "dropped" when it appears in no pair
     touched = np.zeros(n, dtype=bool)
     touched[a] = touched[k] = True
-    return DifferenceOperator(
+    return CsrOperator(
         kind="pairwise", rows=m, cols=n,
         matrix=_unit_rows(a, n) - _unit_rows(k, n),
         anchor=a, partner=k, selected_indices=sel,
@@ -188,43 +300,22 @@ def fixed_effect_operator(graph: NeighborhoodGraph, selected) -> DifferenceOpera
     produce no row and are counted in `dropped_anchors`.
     """
     sel = _selected(graph, selected)
+    n = len(sel)
     if graph.group_codes is not None:
-        return _membership_fixed_effect(sel, graph.group_codes[sel])
+        # one row per anchor whose group has m >= 2 selected members; groups
+        # nest within locations, so no row crosses one
+        codes = graph.group_codes[sel]
+        sizes = np.bincount(codes)
+        anchors = np.flatnonzero(sizes[codes] > 1)
+        return MembershipOperator(
+            kind="fixed_effect", rows=len(anchors), cols=n, anchor=anchors,
+            partner=None, selected_indices=sel, dropped_anchors=n - len(anchors),
+            codes=codes, sizes=sizes,
+        )
     a, k, skipped = _pairs(graph, sel)
-    n_d = np.bincount(a, minlength=len(sel))
+    n_d = np.bincount(a, minlength=n)
     deg = n_d[n_d > 0]
     return _anchored("fixed_effect", sel, n_d, k, np.repeat(1.0 / deg, deg), skipped)
-
-
-def _membership_fixed_effect(sel: np.ndarray, codes: np.ndarray) -> DifferenceOperator:
-    """Fixed-effect rows of a membership graph, one per anchor whose group
-    has m >= 2 selected members: the group's columns in ascending order,
-    -1/(m-1) at each and +1 at the anchor. Groups nest within locations, so
-    no row crosses one.
-    """
-    n = len(sel)
-    sizes, order, start, rank = group_layout(codes)
-    m = sizes[codes]
-    anchors = np.flatnonzero(m > 1)
-    rows = len(anchors)
-    lens = m[anchors]
-    indptr = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(lens, out=indptr[1:])
-    # row r reads its group's slice of `order`, from start[code] onwards
-    slot = np.arange(indptr[-1], dtype=np.int64)
-    slot -= np.repeat(indptr[:-1] - start[codes[anchors]], lens)
-    # gather int32 columns when they fit, the index dtype scipy would pick,
-    # so the CSR constructor neither scans nor converts them
-    if n <= np.iinfo(np.int32).max:
-        order = order.astype(np.int32)
-    data = np.repeat(-(1.0 / (lens - 1)), lens)
-    data[indptr[:-1] + rank[anchors]] = 1.0
-    return DifferenceOperator(
-        kind="fixed_effect", rows=rows, cols=n,
-        matrix=sparse.csr_matrix((data, order[slot], indptr), shape=(rows, n)),
-        anchor=anchors, partner=None, selected_indices=sel,
-        dropped_anchors=n - rows,
-    )
 
 
 def _kernel_values(u: np.ndarray, kernel: str) -> np.ndarray:
@@ -238,7 +329,7 @@ def _kernel_values(u: np.ndarray, kernel: str) -> np.ndarray:
 
 
 def kernel_operator(graph: NeighborhoodGraph, selected, index_values,
-                    bandwidth: float, kernel: str = "epanechnikov") -> DifferenceOperator:
+                    bandwidth: float, kernel: str = "epanechnikov") -> CsrOperator:
     """Kernel-weighted neighborhood difference rows.
 
     `index_values` holds one plug-in index value per selected observation

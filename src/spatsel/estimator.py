@@ -121,12 +121,9 @@ def _obs_residual_scale(op, residuals: np.ndarray, n_cols: int) -> np.ndarray:
     """
     if op is None:
         return residuals**2
-    mat = op.matrix
-    row_of = np.repeat(np.arange(op.rows), np.diff(mat.indptr))
-    norms = np.bincount(row_of, weights=mat.data * mat.data, minlength=op.rows)
-    scaled = residuals**2 / norms
-    totals = np.bincount(mat.indices, weights=scaled[row_of], minlength=n_cols)
-    counts = np.bincount(mat.indices, minlength=n_cols)
+    scaled = residuals**2 / op.row_norms_sq()
+    totals = op.column_sums(scaled)
+    counts = op.column_sums(np.ones(op.rows))
     pooled = float(scaled.mean()) if len(scaled) else 0.0
     out = np.full(n_cols, pooled)
     touched = counts > 0
@@ -155,11 +152,12 @@ def _sandwich(g, xtx_inv, op, dee, rho, z_sel, vbeta,
         omega = np.maximum(sigma2 - (rho * rho) * one_minus_d, 0.0)
     else:
         omega = _obs_residual_scale(op, residuals, g.shape[0])
-    meat1 = (g * omega[:, None]).T @ g
-    gz = g.T @ ((1.0 - dee)[:, None] * z_sel)      # k x kz
-    meat2 = (rho * rho) * gz @ vbeta @ gz.T
-    v1 = xtx_inv @ meat1 @ xtx_inv
-    v2 = xtx_inv @ meat2 @ xtx_inv
+    # B enters each factor before the meat is formed: B times a rounded
+    # meat would amplify its rounding by the condition number of B
+    gb = g @ xtx_inv                                # n x k
+    bgz = gb.T @ ((1.0 - dee)[:, None] * z_sel)     # k x kz
+    v1 = (gb * omega[:, None]).T @ gb
+    v2 = (rho * rho) * bgz @ vbeta @ bgz.T
     v = v1 + v2
     return 0.5 * (v + v.T), v1, v2
 
@@ -184,7 +182,7 @@ def _assemble(names, theta, xtx_inv, design_diff, y_diff, op, lam, dee,
     residuals = y_diff - design_diff @ theta
     rho = float(theta[mills_col])
     # D'(DW), n_sel x k
-    g = design_diff if op is None else op.matrix.T @ design_diff
+    g = design_diff if op is None else op.apply_transpose(design_diff)
     v, v1, v2 = _sandwich(g, xtx_inv, op, dee, rho, z_sel,
                           probit.vbeta, variant, residuals)
     return TwoStepFit(

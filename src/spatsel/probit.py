@@ -72,13 +72,25 @@ class ProbitFit:
 def _build_design(ds: ClusteredDataset, dummy_locations, include_intercept: bool,
                   rows: np.ndarray | None = None) -> np.ndarray:
     z = ds.z if rows is None else ds.z[rows]
-    loc = ds.location_ids if rows is None else ds.location_ids[rows]
-    blocks = [z]
-    for lid in dummy_locations:
-        blocks.append((loc == lid).astype(np.float64)[:, None])
+    if not dummy_locations and not include_intercept:
+        return z
+    q = z.shape[1]
+    design = np.zeros((z.shape[0], q + len(dummy_locations) + include_intercept))
+    design[:, :q] = z
+    if dummy_locations:
+        # the id of each location code, then the design column of each code
+        # (-1 without a dummy), then one scatter of ones at (row, column)
+        ids = np.empty(ds.location_codes.max() + 1, dtype=ds.location_ids.dtype)
+        ids[ds.location_codes] = ds.location_ids
+        column = dict(zip(dummy_locations, range(q, q + len(dummy_locations))))
+        col_of = np.array([column.get(lid, -1) for lid in ids.tolist()], dtype=np.int64)
+        codes = ds.location_codes if rows is None else ds.location_codes[rows]
+        cols = col_of[codes]
+        hit = np.flatnonzero(cols >= 0)
+        design[hit, cols[hit]] = 1.0
     if include_intercept:
-        blocks.append(np.ones((z.shape[0], 1)))
-    return np.hstack(blocks) if len(blocks) > 1 else z
+        design[:, -1] = 1.0
+    return design
 
 
 def log_likelihood(design: np.ndarray, selected: np.ndarray, beta: np.ndarray) -> float:

@@ -42,6 +42,16 @@ def make_dataset(n_locations=2, n_sublocations=2, n_per_sub=3, p=1, q=1,
     )
 
 
+def shuffled(ds: ClusteredDataset, seed) -> ClusteredDataset:
+    """The dataset with its rows permuted, so groups are not contiguous."""
+    perm = np.random.default_rng(seed).permutation(ds.n_obs)
+    return ClusteredDataset(
+        obs_ids=ds.obs_ids[perm], location_ids=ds.location_ids[perm],
+        sublocation_ids=ds.sublocation_ids[perm], selected=ds.selected[perm],
+        outcome=ds.outcome[perm], x=ds.x[perm], z=ds.z[perm],
+    )
+
+
 @pytest.fixture
 def tiny_dataset():
     return make_dataset(seed=7)

@@ -9,7 +9,8 @@ own kernels. `row_level_bootstrap` is the wild cluster bootstrap evaluated
 draw by draw over every differenced row. `loop_operator` builds a
 difference operator row by row from the graph's neighbor sets.
 `row_loop_load_csv` reads a dataset CSV one row at a time and
-`row_loop_write_csv` writes one the same way.
+`row_loop_write_csv` writes one the same way. `loop_build_design` builds
+the probit design with one location comparison per dummy column.
 """
 
 import csv
@@ -73,6 +74,19 @@ def loop_operator(graph, selected, kind, index_values=None, bandwidth=None,
             add_row([(c, 1.0)] + [(k, -w) for k, w in zip(partners, weights)])
     return (np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
             np.array(data, dtype=np.float64))
+
+
+def loop_build_design(ds, dummy_locations, include_intercept, rows=None):
+    """Reference probit design: z, one `location_ids == lid` pass per dummy
+    column, then the intercept, the per-dummy loop `_build_design` replaced."""
+    z = ds.z if rows is None else ds.z[rows]
+    loc = ds.location_ids if rows is None else ds.location_ids[rows]
+    blocks = [z]
+    for lid in dummy_locations:
+        blocks.append((loc == lid).astype(np.float64)[:, None])
+    if include_intercept:
+        blocks.append(np.ones((z.shape[0], 1)))
+    return np.hstack(blocks) if len(blocks) > 1 else z
 
 
 def dense_operator(op) -> np.ndarray:

@@ -116,6 +116,21 @@ def test_fit_bootstrap_deterministic(data_csv, tmp_path):
     assert header == "name,estimate,se,t,p_boot,ci_low,ci_high,B,seed"
 
 
+def test_fit_location_bootstrap_never_builds_operator_matrix(data_csv, tmp_path, monkeypatch):
+    ops = []
+
+    def recording(*args, **kwargs):
+        ops.append(cli_fixed_effect(*args, **kwargs))
+        return ops[-1]
+
+    cli_fixed_effect = cli.fixed_effect_operator
+    monkeypatch.setattr(cli, "fixed_effect_operator", recording)
+    code = main(["fit", "--input", str(data_csv), "--rule", "location",
+                 "--boot", "99", "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert len(ops) == 1 and "matrix" not in vars(ops[0])
+
+
 def test_fit_kernel_plugin(data_csv, tmp_path):
     code = main(["fit", "--input", str(data_csv), "--op", "kernel",
                  "--bandwidth", "2.0", "--kernel", "gaussian",

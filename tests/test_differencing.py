@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spatsel.dataset import ClusteredDataset, NeighborhoodGraph, build_neighborhoods, group_pairs
@@ -13,7 +13,7 @@ from spatsel.differencing import (
 )
 from spatsel.exceptions import ValidationError
 
-from conftest import make_dataset
+from conftest import make_dataset, shuffled
 from oracles import loop_operator
 
 ROW_SUM_TOL = 1e-12
@@ -239,6 +239,41 @@ def test_apply_matrix_and_dimension_error():
         op.apply(np.zeros(op.cols + 1))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    codes=st.lists(st.integers(0, 5), max_size=24),
+    keep=st.lists(st.booleans(), min_size=24, max_size=24),
+    seed=st.integers(0, 10_000),
+)
+@example(codes=[], keep=[True] * 24, seed=0)
+@example(codes=[3, 0, 3, 1, 2, 0, 4], keep=[True] * 24, seed=1)
+@example(codes=[2, 1, 0], keep=[True] * 24, seed=2)
+def test_membership_methods_match_matrix(codes, keep, seed):
+    # codes are drawn in any order, so groups are not contiguous; groups of
+    # one selected member (no row) and of two are common, and so is an
+    # empty selection. Every method must agree with the product through
+    # the CSR laid out afterwards, and none may build it.
+    codes = np.array(codes, dtype=np.int64)
+    graph = NeighborhoodGraph(n_obs=len(codes), location_codes=codes, group_codes=codes)
+    sel = np.flatnonzero(np.array(keep[:len(codes)], dtype=bool))
+    op = fixed_effect_operator(graph, sel)
+    rng = np.random.default_rng(seed)
+    v, u = rng.standard_normal((op.cols, 3)), rng.standard_normal((op.rows, 2))
+    s = rng.standard_normal(op.rows)
+    got = [op.apply(v), op.apply(v[:, 0]), op.apply_transpose(u),
+           op.apply_transpose(u[:, 0]), op.row_norms_sq(), op.column_sums(s),
+           op.column_sums(np.ones(op.rows))]
+    assert "matrix" not in vars(op)
+    mat = op.matrix
+    touches = (mat != 0).astype(np.float64)
+    want = [mat @ v, mat @ v[:, 0], mat.T @ u, mat.T @ u[:, 0],
+            np.asarray(mat.multiply(mat).sum(axis=1)).ravel(), touches.T @ s,
+            touches.T @ np.ones(op.rows)]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
 def test_entries_match_matrix():
     ds = make_dataset(seed=8)
     g = build_neighborhoods(ds, "sublocation")
@@ -260,15 +295,6 @@ def test_dump_csv(tmp_path):
     assert len(lines) == 1 + op.matrix.nnz
 
 
-def _shuffled(ds, seed):
-    perm = np.random.default_rng(seed).permutation(ds.n_obs)
-    return ClusteredDataset(
-        obs_ids=ds.obs_ids[perm], location_ids=ds.location_ids[perm],
-        sublocation_ids=ds.sublocation_ids[perm], selected=ds.selected[perm],
-        outcome=ds.outcome[perm], x=ds.x[perm], z=ds.z[perm],
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -285,8 +311,8 @@ def test_membership_and_graph_paths_agree(seed, n_loc, n_sub, n_per, rule, kind)
     # rows ascending by anchor and columns ascending within each row. For
     # fixed_effect the two graphs take different builders: rows laid out
     # from the group codes, and rows assembled from the pair list.
-    ds = _shuffled(make_dataset(n_locations=n_loc, n_sublocations=n_sub,
-                                n_per_sub=n_per, seed=seed), seed)
+    ds = shuffled(make_dataset(n_locations=n_loc, n_sublocations=n_sub,
+                               n_per_sub=n_per, seed=seed), seed)
     _assert_membership_and_graph_agree(ds, ds.selected_indices(), rule, kind, seed)
 
 

@@ -20,7 +20,7 @@ from spatsel.exceptions import EstimationError
 from spatsel.montecarlo import SimCell, generate_sample
 from spatsel.probit import fit_probit
 
-from conftest import make_dataset
+from conftest import make_dataset, shuffled
 from oracles import dense_heckman, dense_two_step
 
 
@@ -92,8 +92,17 @@ def test_heckman_classic_variance_matches_dense_oracle():
                            heckman_classic(ds, variance="mills").v_twostep)
 
 
+def _rules_and_orders(ds, trial):
+    """The dataset as generated and with its rows permuted, under both
+    membership rules; permuted rows leave no group contiguous."""
+    for data in (ds, shuffled(ds, trial)):
+        for rule in ("sublocation", "location"):
+            yield data, build_neighborhoods(data, rule)
+
+
 def test_random_instances_match_oracle():
     rng = np.random.default_rng(7)
+    checked = 0
     for trial in range(8):
         ds = make_dataset(
             n_locations=int(rng.integers(3, 6)),
@@ -102,23 +111,28 @@ def test_random_instances_match_oracle():
             p=int(rng.integers(1, 4)), q=int(rng.integers(1, 3)),
             seed=int(rng.integers(1_000_000)),
         )
-        g = build_neighborhoods(ds, "sublocation")
-        op = fixed_effect_operator(g, ds.selected_indices())
-        if op.rows < op.cols // 2 or op.rows <= ds.p + 2:
-            continue
-        try:
-            fit = two_step_fit(ds, op)
-        except EstimationError:
-            continue
-        theta_o, v_o = dense_two_step(ds, op, fit.probit)
-        np.testing.assert_allclose(fit.theta, theta_o, atol=1e-9 * max(1, np.abs(theta_o).max()))
-        np.testing.assert_allclose(fit.v_twostep, v_o, rtol=1e-9,
-                                   atol=1e-9 * np.abs(v_o).max())
+        for data, g in _rules_and_orders(ds, trial):
+            op = fixed_effect_operator(g, data.selected_indices())
+            if op.rows < op.cols // 2 or op.rows <= data.p + 2:
+                continue
+            for middle in ("mills", "residual"):
+                try:
+                    fit = two_step_fit(data, op, variance=middle)
+                except EstimationError:
+                    continue
+                theta_o, v_o = dense_two_step(data, op, fit.probit, middle=middle)
+                np.testing.assert_allclose(fit.theta, theta_o,
+                                           atol=1e-9 * max(1, np.abs(theta_o).max()))
+                np.testing.assert_allclose(fit.v_twostep, v_o, rtol=1e-9,
+                                           atol=1e-9 * np.abs(v_o).max())
+                checked += 1
+    assert checked >= 30
 
 
 def test_residual_variant_matches_dense_oracle():
-    # the "residual" middle's per-observation scale is built from the CSR
-    # arrays; the oracle rebuilds it from the dense operator
+    # the "residual" middle's per-observation scale comes from the
+    # operator's row norms and column sums; the oracle rebuilds it from the
+    # dense operator
     rng = np.random.default_rng(17)
     checked = 0
     for trial in range(40):
@@ -128,23 +142,24 @@ def test_residual_variant_matches_dense_oracle():
             n_per_sub=int(rng.integers(2, 6)),
             p=int(rng.integers(1, 3)), seed=int(rng.integers(1_000_000)),
         )
-        g = build_neighborhoods(ds, "sublocation")
         sel = ds.selected_indices()
         if len(sel) < 2:
             continue
-        for op in (pairwise_operator(g, sel), fixed_effect_operator(g, sel),
-                   kernel_operator(g, sel, rng.standard_normal(len(sel)),
-                                   1.0, "gaussian")):
-            if op.rows <= ds.p + 2:
-                continue
-            try:
-                fit = two_step_fit(ds, op, variance="residual")
-            except EstimationError:
-                continue
-            _, v_o = dense_two_step(ds, op, fit.probit, middle="residual")
-            np.testing.assert_allclose(fit.v_twostep, v_o, rtol=1e-9,
-                                       atol=1e-10 * np.abs(v_o).max())
-            checked += 1
+        index = rng.standard_normal(len(sel))
+        for data, g in _rules_and_orders(ds, trial):
+            sel = data.selected_indices()
+            for op in (pairwise_operator(g, sel), fixed_effect_operator(g, sel),
+                       kernel_operator(g, sel, index, 1.0, "gaussian")):
+                if op.rows <= data.p + 2:
+                    continue
+                try:
+                    fit = two_step_fit(data, op, variance="residual")
+                except EstimationError:
+                    continue
+                _, v_o = dense_two_step(data, op, fit.probit, middle="residual")
+                np.testing.assert_allclose(fit.v_twostep, v_o, rtol=1e-9,
+                                           atol=1e-10 * np.abs(v_o).max())
+                checked += 1
     assert checked >= 30
 
 
@@ -387,3 +402,40 @@ def test_write_coefficients_csv_round_trip(tmp_path):
     # full precision: estimates parse back bitwise
     for line, est in zip(lines[1:], fit.theta):
         assert float(line.split(",")[1]) == est
+
+
+# -- membership operators stay free of their CSR matrix -------------------------
+
+
+@pytest.mark.parametrize("rule", ["sublocation", "location"])
+def test_fit_never_builds_membership_matrix(rule):
+    from spatsel.inference import wild_cluster_bootstrap
+
+    ds = make_dataset(n_locations=6, n_sublocations=3, n_per_sub=5, p=2, seed=11)
+    op = fixed_effect_operator(build_neighborhoods(ds, rule), ds.selected_indices())
+    for middle in ("mills", "residual"):
+        fit = two_step_fit(ds, op, variance=middle)
+    variance_two_step(fit, op, fit.probit, variant="residual")
+    wild_cluster_bootstrap(fit, op, ds, "x1", B=99, compute_ci=True)
+    assert "matrix" not in vars(op)
+
+
+def test_location_fit_memory_peak():
+    # J=250, s=20, n=40: N = 2e5 with ~109k selected and ~437 selected per
+    # location, so the location operator's CSR alone would hold ~47.7M
+    # entries (~570 MB); built from it, the fit peaked at ~917 MB traced.
+    # Held as group codes it peaks at ~21 MB.
+    import tracemalloc
+
+    ds = generate_sample(SimCell(J=250, s=20, n=40), 3)
+    probit = fit_probit(ds)
+    tracemalloc.start()
+    try:
+        op = fixed_effect_operator(build_neighborhoods(ds, "location"),
+                                   ds.selected_indices())
+        fit = two_step_fit(ds, op, probit_fit=probit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(fit.v_twostep).all()
+    assert peak < 100 * 2**20

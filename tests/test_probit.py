@@ -9,12 +9,14 @@ from spatsel.probit import (
     GRADIENT_TOL,
     ProbitFit,
     ProbitSpec,
+    _build_design,
     fit_probit,
     log_likelihood,
     predict_index,
 )
 
 from conftest import make_dataset
+from oracles import loop_build_design
 
 
 def selection_dgp(n, beta=0.2, seed=0, n_locations=10):
@@ -159,6 +161,35 @@ def test_location_dummies_and_separation_drop():
     ref = fit_probit(explicit)
     assert np.array_equal(fit.beta, ref.beta)
     assert np.array_equal(fit.vbeta, ref.vbeta)
+
+
+@pytest.mark.parametrize("ids", ["int", "str"])
+@pytest.mark.parametrize("intercept", [True, False])
+def test_dummy_block_matches_per_dummy_loop(ids, intercept):
+    # shuffled rows, so locations are not contiguous; location 2 is entirely
+    # selected and its dummy is dropped
+    ds = make_dataset(n_locations=6, n_sublocations=2, n_per_sub=4, seed=5)
+    perm = np.random.default_rng(5).permutation(ds.n_obs)
+    sel = ds.selected[perm]
+    sel[ds.location_ids[perm] == 2] = True
+    loc = ds.location_ids[perm]
+    ds = ClusteredDataset(
+        obs_ids=ds.obs_ids[perm],
+        location_ids=loc.astype(str) if ids == "str" else loc,
+        sublocation_ids=ds.sublocation_ids[perm], selected=sel,
+        outcome=np.where(sel, 1.0, np.nan), x=ds.x[perm], z=ds.z[perm],
+    )
+    fit = fit_probit(ds, ProbitSpec(include_location_dummies=True,
+                                    include_intercept=intercept))
+    assert len(fit.dropped_dummies) == 1
+    rows = ds.selected_indices()
+    # an id absent from the dataset gives an all-zero column, as the loop does
+    for dummies in (fit.dummy_locations, fit.dummy_locations[::-1] + ["absent"], []):
+        for r in (None, rows, rows[::-1]):
+            got = _build_design(ds, dummies, intercept, r)
+            want = loop_build_design(ds, dummies, intercept, r)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def test_predict_index_zero_beta():
