@@ -154,7 +154,7 @@ def _cmd_fit(args) -> int:
     fit = two_step_fit(ds, op, probit_fit=probit)
 
     boot_rows = {}
-    if args.boot:
+    if args.boot is not None:
         for name in fit.names:
             res = wild_cluster_bootstrap(fit, op, ds, name, null_value=0.0,
                                          B=args.boot, seed=args.seed,

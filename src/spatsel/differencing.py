@@ -76,12 +76,6 @@ class DifferenceOperator:
     dropped_anchors: int = 0
     skipped_cross_location: int = 0
 
-    @cached_property
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sparse triples (row, col, weight) in row-major order."""
-        coo = self.matrix.tocoo()
-        return coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         """D v for a vector or matrix over selected observations."""
         return self.matrix @ _leading(v, self.cols)
@@ -107,11 +101,12 @@ class DifferenceOperator:
 
     def dump_csv(self, path) -> None:
         """Debug dump as a triple-list CSV (row,col,weight)."""
-        r, c, w = self.entries
+        coo = self.matrix.tocoo()
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = _csv.writer(fh)
             writer.writerow(["row", "col", "weight"])
-            writer.writerows(zip(r.tolist(), c.tolist(), map(repr, w.tolist())))
+            writer.writerows(zip(coo.row.tolist(), coo.col.tolist(),
+                                  map(repr, coo.data.tolist())))
 
 
 @dataclass(kw_only=True)

@@ -177,21 +177,36 @@ def variance_two_step(fit: TwoStepFit, op: DifferenceOperator | None,
     return v
 
 
-def _assemble(names, theta, xtx_inv, design_diff, y_diff, op, lam, dee,
-              probit, z_sel, variant, n_selected, x_slice, mills_col):
-    residuals = y_diff - design_diff @ theta
-    rho = float(theta[mills_col])
+def _second_step(ds: ClusteredDataset, op: DifferenceOperator | None,
+                 probit: ProbitFit, variance: str) -> TwoStepFit:
+    """OLS of D y on D [1?, x, mills] over the selected rows, then the
+    sandwich. Without an operator D = I and the intercept enters."""
+    if not probit.converged:
+        raise EstimationError("first-stage probit did not converge")
+    rows = ds.selected_indices()
+    z_sel = probit.design(ds, rows)
+    lam, dee = mills_lambda_dee(z_sel @ probit.beta)
+
+    intercept = int(op is None)
+    names = ["const"] * intercept + list(ds.x_names) + [MILLS_NAME]
+    w = np.column_stack([np.ones((len(rows), intercept)), ds.x[rows], lam])
+    y = ds.outcome[rows]
+    if op is not None:
+        w, y = op.apply(w), op.apply(y)
+    theta, xtx_inv = _solve_ols(w, y, names)
+    residuals = y - w @ theta
+    rho = float(theta[-1])
     # D'(DW), n_sel x k
-    g = design_diff if op is None else op.apply_transpose(design_diff)
+    g = w if op is None else op.apply_transpose(w)
     v, v1, v2 = _sandwich(g, xtx_inv, op, dee, rho, z_sel,
-                          probit.vbeta, variant, residuals)
+                          probit.vbeta, variance, residuals)
     return TwoStepFit(
-        names=names, theta=theta, delta=theta[x_slice], rho=rho,
+        names=names, theta=theta, delta=theta[intercept:-1], rho=rho,
         v_twostep=v, v1=v1, v2=v2, residuals=residuals,
-        m_rows=design_diff.shape[0], n_selected=n_selected, probit=probit,
-        design_diff=design_diff, outcome_diff=y_diff, mills=lam, dee=dee,
-        xtx_inv=xtx_inv, g=g, z_sel=z_sel, mills_col=mills_col,
-        variance=variant,
+        m_rows=w.shape[0], n_selected=len(rows), probit=probit,
+        design_diff=w, outcome_diff=y, mills=lam, dee=dee,
+        xtx_inv=xtx_inv, g=g, z_sel=z_sel, mills_col=len(names) - 1,
+        variance=variance,
     )
 
 
@@ -210,24 +225,7 @@ def two_step_fit(ds: ClusteredDataset, op: DifferenceOperator,
         raise EstimationError(
             "operator columns do not match the dataset's selected observations"
         )
-    probit = probit_fit or fit_probit(ds, probit_spec)
-    if not probit.converged:
-        raise EstimationError("first-stage probit did not converge")
-
-    z_sel = probit.design(ds, rows)
-    lam, dee = mills_lambda_dee(z_sel @ probit.beta)
-
-    x_sel = ds.x[rows]
-    names = list(ds.x_names) + [MILLS_NAME]
-    w = np.column_stack([x_sel, lam])
-    mills_col = len(ds.x_names)
-
-    dw = op.apply(w)
-    dy = op.apply(ds.outcome[rows])
-    theta, xtx_inv = _solve_ols(dw, dy, names)
-    return _assemble(names, theta, xtx_inv, dw, dy, op, lam, dee, probit,
-                     z_sel, variance, len(rows), slice(0, len(ds.x_names)),
-                     mills_col)
+    return _second_step(ds, op, probit_fit or fit_probit(ds, probit_spec), variance)
 
 
 def heckman_classic(ds: ClusteredDataset, probit_spec: ProbitSpec | None = None,
@@ -243,21 +241,7 @@ def heckman_classic(ds: ClusteredDataset, probit_spec: ProbitSpec | None = None,
     `variance="residual"` the per-observation squared residuals. The
     first-step correction term is identical across variants.
     """
-    probit = probit_fit or fit_probit(ds, probit_spec)
-    if not probit.converged:
-        raise EstimationError("first-stage probit did not converge")
-    rows = ds.selected_indices()
-    z_sel = probit.design(ds, rows)
-    lam, dee = mills_lambda_dee(z_sel @ probit.beta)
-
-    names = ["const"] + list(ds.x_names) + [MILLS_NAME]
-    w = np.column_stack([np.ones(len(rows)), ds.x[rows], lam])
-    mills_col = len(names) - 1
-    y = ds.outcome[rows]
-    theta, xtx_inv = _solve_ols(w, y, names)
-    return _assemble(names, theta, xtx_inv, w, y, None, lam, dee, probit,
-                     z_sel, variance, len(rows), slice(1, 1 + len(ds.x_names)),
-                     mills_col)
+    return _second_step(ds, None, probit_fit or fit_probit(ds, probit_spec), variance)
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,9 @@ def _run_cells(cells: list[SimCell], *, threads: int | None = None) -> Iterator[
     """
     if threads is None:
         threads = os.cpu_count() or 1
-    threads = max(1, min(threads, sum(c.replications for c in cells)))
+    if threads < 1:
+        raise ValidationError(f"threads must be at least 1, got {threads}")
+    threads = min(threads, sum(c.replications for c in cells))
     if threads == 1:
         for cell in cells:
             yield _summarise(cell, *_replicate_chunk(cell, range(cell.replications)))

@@ -8,6 +8,11 @@ that order. Location dummies that perfectly predict selection (the
 location's indicator is constant) are dropped and recorded rather than
 letting the likelihood diverge; with an intercept present the first
 remaining location serves as the reference category.
+
+Special functions run once per point: each line-search candidate gets one
+log cdf pass at its signed index c = +-(design @ beta), which gives its
+log-likelihood, and the accepted candidate's c then gets one Mills pass,
+which gives the next score and information.
 """
 
 from __future__ import annotations
@@ -93,18 +98,24 @@ def _build_design(ds: ClusteredDataset, dummy_locations, include_intercept: bool
     return design
 
 
+def _candidate(design, sign, s_mask, beta):
+    """Signed index c = sign * (design @ beta), +w where selected and -w
+    where not, with the log-likelihood sum of log cdf(c) per group."""
+    c = sign * (design @ beta)
+    return c, float(log_ndtr(c[s_mask]).sum() + log_ndtr(c[~s_mask]).sum())
+
+
 def log_likelihood(design: np.ndarray, selected: np.ndarray, beta: np.ndarray) -> float:
     """Probit log-likelihood at beta (used directly by tests as an oracle hook)."""
-    w = design @ beta
     s = np.asarray(selected, dtype=bool)
-    return float(log_ndtr(w[s]).sum() + log_ndtr(-w[~s]).sum())
+    return _candidate(design, np.where(s, 1.0, -1.0), s, beta)[1]
 
 
-def _score_and_information(design, s_mask, w):
-    # one Mills evaluation at the signed index: w if selected, -w if not
-    lam, dee = mills_lambda_dee(np.where(s_mask, w, -w))
+def _score_and_information(design, sign, c):
+    # one Mills evaluation at the signed index c
+    lam, dee = mills_lambda_dee(c)
     # d/dw log cdf(w) = lam(w); d/dw log cdf(-w) = -lam(-w)
-    grad = design.T @ np.where(s_mask, lam, -lam)
+    grad = design.T @ (sign * lam)
     # -d2/dw2 log-likelihood contribution = 1 - dee at the signed index
     info = (design * (1.0 - dee)[:, None]).T @ design
     return grad, info
@@ -119,8 +130,9 @@ def fit_probit(ds: ClusteredDataset, spec: ProbitSpec | None = None) -> ProbitFi
     g'H^-1 g is at most 1e-10: there the predicted gain is below the
     rounding of the log-likelihood sum, so the line search could not tell a
     good step from a bad one, and the full step is taken (the Newton phase
-    of damped Newton). Returns a fit with `converged=False` rather than
-    raising when the iteration cap binds.
+    of damped Newton). After 40 candidates without a rise the last one, at
+    2^-39 of the step, is taken. Returns a fit with `converged=False`
+    rather than raising when the iteration cap binds.
     """
     spec = spec or ProbitSpec()
 
@@ -160,19 +172,13 @@ def fit_probit(ds: ClusteredDataset, spec: ProbitSpec | None = None) -> ProbitFi
     if spec.include_intercept:
         names.append("const")
 
-    k = design.shape[1]
-    beta = np.zeros(k)
-    loglik = log_likelihood(design, s_mask, beta)
-    iterations = 0
-    converged = False
-    grad = np.zeros(k)
-    info = np.eye(k)
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        w = design @ beta
-        grad, info = _score_and_information(design, s_mask, w)
-        if np.max(np.abs(grad)) <= GRADIENT_TOL:
-            converged = True
-            iterations -= 1
+    sign = np.where(s_mask, 1.0, -1.0)
+    beta = np.zeros(design.shape[1])
+    c, loglik = _candidate(design, sign, s_mask, beta)
+    for iterations in range(MAX_ITERATIONS + 1):
+        grad, info = _score_and_information(design, sign, c)
+        converged = bool(np.max(np.abs(grad)) <= GRADIENT_TOL)
+        if converged or iterations == MAX_ITERATIONS:
             break
         try:
             step = np.linalg.solve(info, grad)
@@ -180,22 +186,17 @@ def fit_probit(ds: ClusteredDataset, spec: ProbitSpec | None = None) -> ProbitFi
             raise EstimationError(
                 "selection design matrix is rank deficient after dummy drops"
             ) from None
+        checked = grad @ step > DECREMENT_FLOOR
         scale = 1.0
-        if grad @ step > DECREMENT_FLOOR:
-            for _ in range(40):
-                cand_ll = log_likelihood(design, s_mask, beta + scale * step)
-                if cand_ll >= loglik - 1e-13:
-                    break
-                scale *= 0.5
-        else:
-            cand_ll = log_likelihood(design, s_mask, beta + step)
-        beta = beta + scale * step
-        loglik = cand_ll
-    else:
-        w = design @ beta
-        grad, info = _score_and_information(design, s_mask, w)
-        converged = bool(np.max(np.abs(grad)) <= GRADIENT_TOL)
-        iterations = MAX_ITERATIONS
+        for _ in range(40):
+            cand = beta + scale * step
+            cand_c, cand_ll = _candidate(design, sign, s_mask, cand)
+            if not checked or cand_ll >= loglik - 1e-13:
+                break
+            scale *= 0.5
+        # the last candidate evaluated is taken, so beta, c and loglik
+        # describe one point even when every halving failed
+        beta, c, loglik = cand, cand_c, cand_ll
 
     try:
         vbeta = np.linalg.inv(info)

@@ -11,16 +11,21 @@ difference operator row by row from the graph's neighbor sets.
 `row_loop_load_csv` reads a dataset CSV one row at a time and
 `row_loop_write_csv` writes one the same way. `loop_build_design` builds
 the probit design with one location comparison per dummy column.
+`two_pass_fit_probit` is the damped Newton probit loop that forms the
+index and signs it again for the score and for the log-likelihood.
 """
 
 import csv
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import log_ndtr
 from scipy.stats import norm
 
 from spatsel.dataset import ClusteredDataset, CsvSchema, _detect_block, _records
-from spatsel.exceptions import ValidationError
+from spatsel.exceptions import EstimationError, ValidationError
+from spatsel.numerics import mills_lambda_dee
+from spatsel.probit import DECREMENT_FLOOR, GRADIENT_TOL, MAX_ITERATIONS
 
 
 def loop_operator(graph, selected, kind, index_values=None, bandwidth=None,
@@ -89,11 +94,70 @@ def loop_build_design(ds, dummy_locations, include_intercept, rows=None):
     return np.hstack(blocks) if len(blocks) > 1 else z
 
 
+def two_pass_fit_probit(design, selected):
+    """Reference probit loop: each iteration recomputes design @ beta and
+    signs it for the score, and each line-search candidate recomputes it
+    for the log-likelihood; after the loop the score is evaluated once
+    more. After 40 failed halvings beta moves by 2^-40 of the step while
+    the log-likelihood keeps the 2^-39 candidate's value; `exhausted` says
+    whether that happened. Returns a dict of the ProbitFit fields the loop
+    sets."""
+    s = np.asarray(selected, dtype=bool)
+
+    def loglik_at(beta):
+        w = design @ beta
+        return float(log_ndtr(w[s]).sum() + log_ndtr(-w[~s]).sum())
+
+    def score_and_information(w):
+        lam, dee = mills_lambda_dee(np.where(s, w, -w))
+        grad = design.T @ np.where(s, lam, -lam)
+        info = (design * (1.0 - dee)[:, None]).T @ design
+        return grad, info
+
+    k = design.shape[1]
+    beta = np.zeros(k)
+    loglik = loglik_at(beta)
+    converged = False
+    exhausted = False
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        grad, info = score_and_information(design @ beta)
+        if np.max(np.abs(grad)) <= GRADIENT_TOL:
+            converged = True
+            iterations -= 1
+            break
+        try:
+            step = np.linalg.solve(info, grad)
+        except np.linalg.LinAlgError:
+            raise EstimationError("rank deficient") from None
+        scale = 1.0
+        if grad @ step > DECREMENT_FLOOR:
+            for _ in range(40):
+                cand_ll = loglik_at(beta + scale * step)
+                if cand_ll >= loglik - 1e-13:
+                    break
+                scale *= 0.5
+            else:
+                exhausted = True
+        else:
+            cand_ll = loglik_at(beta + step)
+        beta = beta + scale * step
+        loglik = cand_ll
+    else:
+        grad, info = score_and_information(design @ beta)
+        converged = bool(np.max(np.abs(grad)) <= GRADIENT_TOL)
+        iterations = MAX_ITERATIONS
+    try:
+        vbeta = np.linalg.inv(info)
+    except np.linalg.LinAlgError:
+        raise EstimationError("singular information") from None
+    vbeta = 0.5 * (vbeta + vbeta.T)
+    return dict(beta=beta, vbeta=vbeta, loglik=loglik, iterations=iterations,
+                converged=converged, gradient_max=float(np.max(np.abs(grad))),
+                newton_decrement=float(grad @ vbeta @ grad), exhausted=exhausted)
+
+
 def dense_operator(op) -> np.ndarray:
-    r, c, w = op.entries
-    dense = np.zeros((op.rows, op.cols))
-    dense[r, c] = w
-    return dense
+    return op.matrix.toarray()
 
 
 def dense_mills(index: np.ndarray):

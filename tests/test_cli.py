@@ -116,6 +116,15 @@ def test_fit_bootstrap_deterministic(data_csv, tmp_path):
     assert header == "name,estimate,se,t,p_boot,ci_low,ci_high,B,seed"
 
 
+@pytest.mark.parametrize("boot", ["0", "50", "-1"])
+def test_fit_boot_below_99_rejected(data_csv, tmp_path, capsys, boot):
+    out = tmp_path / "o"
+    code = main(["fit", "--input", str(data_csv), "--boot", boot, "--out", str(out)])
+    assert code == 2
+    assert "B must be at least 99" in capsys.readouterr().err
+    assert not (out / "fit_coefficients.csv").exists()
+
+
 def test_fit_location_bootstrap_never_builds_operator_matrix(data_csv, tmp_path, monkeypatch):
     ops = []
 
@@ -232,6 +241,15 @@ def test_simulate_flag_overrides(tmp_path, capsys):
     assert code == 0
     assert (out / "table_J4.csv").exists()
     assert "6 replications" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_simulate_threads_below_one_rejected(tmp_path, capsys, threads):
+    code = main(["simulate", "--J-list", "4", "--s-list", "2", "--n-list", "3",
+                 "--reps", "2", "--threads", threads, "--out", str(tmp_path / "sim")])
+    assert code == 2
+    assert "threads must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "sim" / "table_J4.csv").exists()
 
 
 def test_simulate_bad_list_flag(tmp_path, capsys):

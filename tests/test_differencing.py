@@ -274,16 +274,6 @@ def test_membership_methods_match_matrix(codes, keep, seed):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
-def test_entries_match_matrix():
-    ds = make_dataset(seed=8)
-    g = build_neighborhoods(ds, "sublocation")
-    op = fixed_effect_operator(g, ds.selected_indices())
-    r, c, w = op.entries
-    rebuilt = np.zeros((op.rows, op.cols))
-    rebuilt[r, c] = w
-    np.testing.assert_array_equal(rebuilt, op.matrix.toarray())
-
-
 def test_dump_csv(tmp_path):
     ds = make_dataset(seed=8)
     g = build_neighborhoods(ds, "sublocation")
@@ -293,6 +283,13 @@ def test_dump_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "row,col,weight"
     assert len(lines) == 1 + op.matrix.nnz
+    # the triples rebuild the matrix bitwise, in row-major order
+    triples = [line.split(",") for line in lines[1:]]
+    r, c = (np.array([int(t[i]) for t in triples]) for i in (0, 1))
+    assert np.all(np.diff(r * op.cols + c) > 0)
+    rebuilt = np.zeros((op.rows, op.cols))
+    rebuilt[r, c] = [float(t[2]) for t in triples]
+    np.testing.assert_array_equal(rebuilt, op.matrix.toarray())
 
 
 @settings(max_examples=60, deadline=None)

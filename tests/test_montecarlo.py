@@ -91,6 +91,15 @@ def test_cell_validation():
         SimCell(J=5, s=2, n=3, replications=0)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_rejected(threads):
+    cell = SimCell(J=4, s=2, n=3, replications=2)
+    with pytest.raises(ValidationError, match="threads must be at least 1"):
+        run_cell(cell, threads=threads)
+    with pytest.raises(ValidationError, match="threads must be at least 1"):
+        run_tables([cell], threads=threads)
+
+
 def test_run_cell_summaries_and_determinism():
     cell = SimCell(J=10, s=2, n=3, replications=40, seed=11)
     a = run_cell(cell, threads=1)

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import log_ndtr
 
+from spatsel import probit
 from spatsel.dataset import ClusteredDataset
 from spatsel.exceptions import EstimationError, SeparationError
 from spatsel.montecarlo import SimCell, generate_sample, rep_seed
 from spatsel.numerics import inverse_mills, mills_lambda_dee
 from spatsel.probit import (
     GRADIENT_TOL,
+    MAX_ITERATIONS,
     ProbitFit,
     ProbitSpec,
     _build_design,
@@ -16,7 +21,7 @@ from spatsel.probit import (
 )
 
 from conftest import make_dataset
-from oracles import loop_build_design
+from oracles import loop_build_design, two_pass_fit_probit
 
 
 def selection_dgp(n, beta=0.2, seed=0, n_locations=10):
@@ -258,3 +263,47 @@ def test_no_stall_when_gain_is_below_rounding():
     assert np.abs(score).max() <= GRADIENT_TOL
     assert fit.gradient_max == np.abs(score).max()
     assert 0.0 <= fit.newton_decrement <= 1e-10
+
+
+SPECS = {
+    "intercept": ProbitSpec(),
+    "dummies": ProbitSpec(include_location_dummies=True),
+    "no_intercept": ProbitSpec(include_intercept=False),
+}
+
+
+@pytest.mark.parametrize("spec", SPECS.values(), ids=SPECS.keys())
+@pytest.mark.parametrize("seed", range(4))
+def test_loglik_is_that_of_returned_beta(spec, seed):
+    ds = make_dataset(n_locations=5, n_sublocations=2, n_per_sub=6, q=2, seed=seed)
+    fit = fit_probit(ds, spec)
+    assert fit.loglik == log_likelihood(fit.design(ds), ds.selected, fit.beta)
+
+
+def test_loglik_is_that_of_returned_beta_when_halvings_run_out(monkeypatch):
+    # with log cdf negated every Newton step descends the searched function,
+    # so each line search evaluates all 40 candidates without a rise
+    monkeypatch.setattr(probit, "log_ndtr", lambda c: -log_ndtr(c))
+    ds = make_dataset(n_locations=3, n_sublocations=2, n_per_sub=5, seed=3)
+    fit = fit_probit(ds)
+    assert not fit.converged and fit.iterations == MAX_ITERATIONS
+    assert fit.loglik == log_likelihood(fit.design(ds), ds.selected, fit.beta)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), n_locations=st.integers(2, 6),
+       n_per_sub=st.integers(2, 6), q=st.integers(1, 2),
+       beta=st.floats(-3.0, 3.0), spec=st.sampled_from(list(SPECS.values())))
+def test_fit_probit_matches_two_pass_loop(seed, n_locations, n_per_sub, q, beta, spec):
+    ds = make_dataset(n_locations=n_locations, n_sublocations=2, n_per_sub=n_per_sub,
+                      q=q, seed=seed, beta=beta)
+    try:
+        fit = fit_probit(ds, spec)
+    except SeparationError:
+        assume(False)
+    ref = two_pass_fit_probit(fit.design(ds), ds.selected)
+    assume(not ref["exhausted"])
+    for name in ("beta", "vbeta"):
+        assert getattr(fit, name).tobytes() == ref[name].tobytes()
+    for name in ("loglik", "iterations", "converged", "gradient_max", "newton_decrement"):
+        assert getattr(fit, name) == ref[name]
