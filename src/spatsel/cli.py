@@ -25,7 +25,7 @@ from .dataset import CsvSchema, build_neighborhoods, load_adjacency, load_csv
 from .differencing import KERNELS, fixed_effect_operator, kernel_operator, pairwise_operator
 from .estimator import report_text, two_step_fit, write_coefficients_csv
 from .exceptions import EstimationError, ValidationError
-from .inference import wild_cluster_bootstrap
+from .inference import MIN_REPLICATIONS, wild_cluster_bootstrap
 from .montecarlo import GridConfig, parse_int_list, run_tables
 from .probit import ProbitSpec, fit_probit, predict_index
 
@@ -147,6 +147,8 @@ def _build_operator(args, ds, graph, probit):
 
 def _cmd_fit(args) -> int:
     _check_bandwidth(args)
+    if args.boot is not None and args.boot < MIN_REPLICATIONS:
+        raise ValidationError(f"B must be at least {MIN_REPLICATIONS}")
     ds = load_csv(args.input, _schema_from_args(args))
     graph = _load_graph(args, ds)
     probit = fit_probit(ds, ProbitSpec(include_location_dummies=args.probit_dummies))

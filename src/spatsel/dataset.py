@@ -112,7 +112,8 @@ class ClusteredDataset:
             if self.coords.shape != (n, 2):
                 raise ValidationError("coords must be an (n, 2) array")
 
-        if len(set(self.obs_ids.tolist())) != n:
+        ids = np.sort(self.obs_ids)
+        if (ids[1:] == ids[:-1]).any():
             raise ValidationError("duplicate obs_id values present")
 
         bad = np.flatnonzero(self.selected != np.isfinite(self.outcome))

@@ -43,17 +43,38 @@ MILLS_NAME = "mills"
 VARIANCE_VARIANTS = ("mills", "residual", "classic")
 
 
+@dataclass(frozen=True)
+class _FirstStage:
+    """One (dataset, probit) pair's selected `rows`, their probit design
+    `z`, and lambda and d at z beta, shared by every second step."""
+
+    probit: ProbitFit
+    rows: np.ndarray = field(repr=False)
+    z: np.ndarray = field(repr=False)
+    lam: np.ndarray = field(repr=False)
+    dee: np.ndarray = field(repr=False)
+
+
+def _first_stage(ds: ClusteredDataset, probit: ProbitFit) -> _FirstStage:
+    if not probit.converged:
+        raise EstimationError("first-stage probit did not converge")
+    rows = ds.selected_indices()
+    z = probit.design(ds, rows)
+    lam, dee = mills_lambda_dee(z @ probit.beta)
+    return _FirstStage(probit, rows, z, lam, dee)
+
+
 @dataclass
 class TwoStepFit:
     """Second-step OLS fit with its corrected covariance.
 
     `theta` holds every coefficient in column order (`names`); `delta` is
-    the x block and `rho` the mills coefficient. `v1`/`v2` are the two
-    sandwich components of `v_twostep` (selection-error part and
+    the x block and `rho` the mills coefficient, always last. `v1`/`v2` are
+    the two sandwich components of `v_twostep` (selection-error part and
     first-step estimation part). `g` is G = D'(DW) (DW itself without an
-    operator) and `z_sel` the probit design on the selected rows, kept so
-    that other sandwiches reuse them. `variance` is the middle `v_twostep`
-    was built with.
+    operator) and `first` the shared first stage, kept so that other
+    sandwiches reuse them. `variance` is the middle `v_twostep` was built
+    with.
     """
 
     names: list[str]
@@ -64,18 +85,16 @@ class TwoStepFit:
     v1: np.ndarray
     v2: np.ndarray
     residuals: np.ndarray
-    m_rows: int
-    n_selected: int
-    probit: ProbitFit
+    first: _FirstStage
     design_diff: np.ndarray = field(repr=False)
     outcome_diff: np.ndarray = field(repr=False)
-    mills: np.ndarray = field(repr=False)
-    dee: np.ndarray = field(repr=False)
     xtx_inv: np.ndarray = field(repr=False)
     g: np.ndarray = field(repr=False)
-    z_sel: np.ndarray = field(repr=False)
-    mills_col: int = -1
     variance: str = "mills"
+
+    @property
+    def probit(self) -> ProbitFit:
+        return self.first.probit
 
     def se(self) -> np.ndarray:
         return np.sqrt(np.maximum(np.diag(self.v_twostep), 0.0))
@@ -112,33 +131,28 @@ def _solve_ols(design: np.ndarray, y: np.ndarray, names: list[str]):
     return theta, xtx_inv
 
 
-def _obs_residual_scale(op, residuals: np.ndarray, n_cols: int) -> np.ndarray:
+def _obs_residual_scale(op, residuals: np.ndarray) -> np.ndarray:
     """Per-observation squared-error scale from differenced residuals.
 
     Each row's squared residual is deflated by its weight norm, then
-    averaged over the rows touching the observation; observations in no
-    row fall back to the pooled mean.
+    averaged over the rows touching the observation. An observation in no
+    row gets 0: its row of G = D'(DW) is zero, so its scale never reaches V1.
     """
     if op is None:
         return residuals**2
-    scaled = residuals**2 / op.row_norms_sq()
-    totals = op.column_sums(scaled)
+    totals = op.column_sums(residuals**2 / op.row_norms_sq())
     counts = op.column_sums(np.ones(op.rows))
-    pooled = float(scaled.mean()) if len(scaled) else 0.0
-    out = np.full(n_cols, pooled)
-    touched = counts > 0
-    out[touched] = totals[touched] / counts[touched]
-    return out
+    return np.divide(totals, counts, out=np.zeros(op.cols), where=counts > 0)
 
 
-def _sandwich(g, xtx_inv, op, dee, rho, z_sel, vbeta,
-              variant: str, residuals: np.ndarray | None):
-    """B (DW)'[V1 + V2](DW) B' in factored form, given G = D'(DW).
-    Returns (v, v1, v2)."""
+def _sandwich(g, xtx_inv, op, first: _FirstStage, rho, variant: str,
+              residuals: np.ndarray | None):
+    """B (DW)'[V1 + V2](DW) B' in factored form, given G = D'(DW); d, the
+    selected probit design and Vb come from `first`. Returns (v, v1, v2)."""
     if variant not in VARIANCE_VARIANTS:
         raise EstimationError(f"unknown variance variant {variant!r}")
     if variant == "mills":
-        omega = (rho * rho) * dee
+        omega = (rho * rho) * first.dee
     elif variant == "classic":
         # textbook two-step middle: residual-based total error variance
         # less the explained truncation part, sigma2 - rho^2 * (1 - d_i)
@@ -146,50 +160,45 @@ def _sandwich(g, xtx_inv, op, dee, rho, z_sel, vbeta,
             raise EstimationError(
                 "the classic variance middle is defined for the undifferenced fit"
             )
-        one_minus_d = 1.0 - dee
+        one_minus_d = 1.0 - first.dee
         sigma2 = float(residuals @ residuals) / len(residuals) \
             + float(one_minus_d.mean()) * rho * rho
         omega = np.maximum(sigma2 - (rho * rho) * one_minus_d, 0.0)
     else:
-        omega = _obs_residual_scale(op, residuals, g.shape[0])
+        omega = _obs_residual_scale(op, residuals)
     # B enters each factor before the meat is formed: B times a rounded
     # meat would amplify its rounding by the condition number of B
     gb = g @ xtx_inv                                # n x k
-    bgz = gb.T @ ((1.0 - dee)[:, None] * z_sel)     # k x kz
+    bgz = gb.T @ ((1.0 - first.dee)[:, None] * first.z)   # k x kz
     v1 = (gb * omega[:, None]).T @ gb
-    v2 = (rho * rho) * bgz @ vbeta @ bgz.T
+    v2 = (rho * rho) * bgz @ first.probit.vbeta @ bgz.T
     v = v1 + v2
     return 0.5 * (v + v.T), v1, v2
 
 
 def variance_two_step(fit: TwoStepFit, op: DifferenceOperator | None,
-                      probit: ProbitFit, variant: str = "mills") -> np.ndarray:
+                      variant: str = "mills") -> np.ndarray:
     """Corrected covariance of the second-step coefficients.
 
     Recomputes the sandwich from the pieces stored on `fit` (G = D'(DW),
-    the selected probit design) and `probit.vbeta`, so callers can probe
-    structural cases (a fit with rho forced to zero, a probit with vbeta
-    zeroed) without refitting. `variant="residual"` swaps the default
-    diagonal rho^2 * d_i for empirical squared residuals.
+    its first stage), so callers can probe structural cases (a fit with
+    rho forced to zero, a first stage with vbeta zeroed) without
+    refitting. `variant="residual"` swaps the default diagonal rho^2 * d_i
+    for empirical squared residuals.
     """
-    v, _, _ = _sandwich(fit.g, fit.xtx_inv, op, fit.dee, fit.rho,
-                        fit.z_sel, probit.vbeta, variant, fit.residuals)
+    v, _, _ = _sandwich(fit.g, fit.xtx_inv, op, fit.first, fit.rho,
+                        variant, fit.residuals)
     return v
 
 
 def _second_step(ds: ClusteredDataset, op: DifferenceOperator | None,
-                 probit: ProbitFit, variance: str) -> TwoStepFit:
+                 first: _FirstStage, variance: str) -> TwoStepFit:
     """OLS of D y on D [1?, x, mills] over the selected rows, then the
     sandwich. Without an operator D = I and the intercept enters."""
-    if not probit.converged:
-        raise EstimationError("first-stage probit did not converge")
-    rows = ds.selected_indices()
-    z_sel = probit.design(ds, rows)
-    lam, dee = mills_lambda_dee(z_sel @ probit.beta)
-
+    rows = first.rows
     intercept = int(op is None)
     names = ["const"] * intercept + list(ds.x_names) + [MILLS_NAME]
-    w = np.column_stack([np.ones((len(rows), intercept)), ds.x[rows], lam])
+    w = np.column_stack([np.ones((len(rows), intercept)), ds.x[rows], first.lam])
     y = ds.outcome[rows]
     if op is not None:
         w, y = op.apply(w), op.apply(y)
@@ -198,15 +207,11 @@ def _second_step(ds: ClusteredDataset, op: DifferenceOperator | None,
     rho = float(theta[-1])
     # D'(DW), n_sel x k
     g = w if op is None else op.apply_transpose(w)
-    v, v1, v2 = _sandwich(g, xtx_inv, op, dee, rho, z_sel,
-                          probit.vbeta, variance, residuals)
+    v, v1, v2 = _sandwich(g, xtx_inv, op, first, rho, variance, residuals)
     return TwoStepFit(
         names=names, theta=theta, delta=theta[intercept:-1], rho=rho,
-        v_twostep=v, v1=v1, v2=v2, residuals=residuals,
-        m_rows=w.shape[0], n_selected=len(rows), probit=probit,
-        design_diff=w, outcome_diff=y, mills=lam, dee=dee,
-        xtx_inv=xtx_inv, g=g, z_sel=z_sel, mills_col=len(names) - 1,
-        variance=variance,
+        v_twostep=v, v1=v1, v2=v2, residuals=residuals, first=first,
+        design_diff=w, outcome_diff=y, xtx_inv=xtx_inv, g=g, variance=variance,
     )
 
 
@@ -225,7 +230,8 @@ def two_step_fit(ds: ClusteredDataset, op: DifferenceOperator,
         raise EstimationError(
             "operator columns do not match the dataset's selected observations"
         )
-    return _second_step(ds, op, probit_fit or fit_probit(ds, probit_spec), variance)
+    probit = probit_fit or fit_probit(ds, probit_spec)
+    return _second_step(ds, op, _first_stage(ds, probit), variance)
 
 
 def heckman_classic(ds: ClusteredDataset, probit_spec: ProbitSpec | None = None,
@@ -241,7 +247,8 @@ def heckman_classic(ds: ClusteredDataset, probit_spec: ProbitSpec | None = None,
     `variance="residual"` the per-observation squared residuals. The
     first-step correction term is identical across variants.
     """
-    return _second_step(ds, None, probit_fit or fit_probit(ds, probit_spec), variance)
+    probit = probit_fit or fit_probit(ds, probit_spec)
+    return _second_step(ds, None, _first_stage(ds, probit), variance)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +294,8 @@ def report_text(fit: TwoStepFit, extra: dict | None = None) -> str:
     total = tr1 + tr2
     share1, share2 = (tr1 / total, tr2 / total) if total > 0 else (np.nan, np.nan)
     lines = [
-        f"n_selected = {fit.n_selected}",
-        f"m_rows = {fit.m_rows}",
+        f"n_selected = {len(fit.first.rows)}",
+        f"m_rows = {len(fit.outcome_diff)}",
         f"probit_converged = {fit.probit.converged}",
         f"probit_iterations = {fit.probit.iterations}",
         f"probit_gradient_max = {fit.probit.gradient_max:.3e}",

@@ -28,6 +28,9 @@ from .differencing import DifferenceOperator
 from .estimator import TwoStepFit, _sandwich
 from .exceptions import ValidationError
 
+# fewest bootstrap replications a sampled (not enumerated) test accepts
+MIN_REPLICATIONS = 99
+
 # relative shortfall of |t*| below |t_obs| still counted as a tie
 _TIE_SLACK = 1e-12
 # an interval end is searched at this many constant steps from the
@@ -69,11 +72,10 @@ def _restricted(x: np.ndarray, y: np.ndarray, col: int, null_value: float):
     return theta_rest, fitted, y - fitted
 
 
-def _t_for_draws(theta: np.ndarray, col: int, mills_col: int,
-                 null_value: float, k_cc: float) -> np.ndarray:
+def _t_for_draws(theta: np.ndarray, col: int, null_value: float, k_cc: float) -> np.ndarray:
     """t statistics for bootstrap coefficient draws (draws in rows)."""
     num = theta[:, col] - null_value
-    se = np.abs(theta[:, mills_col]) * np.sqrt(k_cc)
+    se = np.abs(theta[:, -1]) * np.sqrt(k_cc)
     t = np.zeros(len(num))
     ok = se > 0
     t[ok] = num[ok] / se[ok]
@@ -109,8 +111,8 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
     strictly below it: at B = 399 and ci_level 0.95 a p-value of 20/400 is
     kept.
     """
-    if B < 99 and not full_enumeration:
-        raise ValidationError("B must be at least 99")
+    if B < MIN_REPLICATIONS and not full_enumeration:
+        raise ValidationError(f"B must be at least {MIN_REPLICATIONS}")
     if coef not in fit.names:
         raise ValidationError(f"unknown coefficient {coef!r}; have {fit.names}")
     col = fit.names.index(coef)
@@ -124,8 +126,8 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
     x = fit.design_diff
     y = fit.outcome_diff
     # scale-free covariance: v_twostep(rho) = rho^2 * kmat
-    kmat, _, _ = _sandwich(fit.g, fit.xtx_inv, op, fit.dee, 1.0, fit.z_sel,
-                           fit.probit.vbeta, "mills", fit.residuals)
+    kmat, _, _ = _sandwich(fit.g, fit.xtx_inv, op, fit.first, 1.0, "mills",
+                           fit.residuals)
     k_cc = float(kmat[col, col])
     proj = fit.xtx_inv @ x.T
 
@@ -161,7 +163,7 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
         # per-cluster projected residuals, k x G
         c = np.stack([np.bincount(cluster_idx, weights=p_row * resid,
                                   minlength=n_clusters) for p_row in proj])
-        t_star = _t_for_draws(base + signs @ c.T, col, fit.mills_col, null, k_cc)
+        t_star = _t_for_draws(base + signs @ c.T, col, null, k_cc)
         count = int(np.sum(np.abs(t_star) >= abs(t_ref) * (1.0 - _TIE_SLACK)))
         if full_enumeration:
             return count / reps

@@ -45,7 +45,7 @@ import numpy as np
 
 from .dataset import ClusteredDataset, build_neighborhoods
 from .differencing import fixed_effect_operator
-from .estimator import heckman_classic, two_step_fit, variance_two_step
+from .estimator import _first_stage, _second_step, variance_two_step
 from .exceptions import EstimationError, ValidationError
 from .probit import ProbitSpec, fit_probit
 
@@ -174,16 +174,13 @@ def _replicate(cell: SimCell, rep: int) -> np.ndarray:
     spec = ProbitSpec(include_location_dummies=cell.probit_dummies,
                       include_intercept=True)
     try:
-        probit = fit_probit(ds, spec)
-        if not probit.converged:
-            return out
+        first = _first_stage(ds, fit_probit(ds, spec))
     except EstimationError:
         return out
 
-    sel = ds.selected_indices()
     x_name = ds.x_names[0]
     try:
-        fit = heckman_classic(ds, probit_fit=probit)
+        fit = _second_step(ds, None, first, "classic")
         i = fit.names.index(x_name)
         out[0, :2] = fit.theta[i], fit.se()[i]
     except EstimationError:
@@ -191,12 +188,12 @@ def _replicate(cell: SimCell, rep: int) -> np.ndarray:
     for slot, rule in ((1, "location"), (2, "sublocation")):
         try:
             graph = build_neighborhoods(ds, rule)
-            op = fixed_effect_operator(graph, sel)
-            fit = two_step_fit(ds, op, probit_fit=probit)
+            op = fixed_effect_operator(graph, first.rows)
+            fit = _second_step(ds, op, first, "mills")
             i = fit.names.index(x_name)
             out[slot, :2] = fit.theta[i], fit.se()[i]
             if rule == "sublocation":
-                v = variance_two_step(fit, op, probit, variant="residual")
+                v = variance_two_step(fit, op, variant="residual")
                 out[slot, 2] = np.sqrt(max(v[i, i], 0.0))
         except EstimationError:
             pass

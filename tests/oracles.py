@@ -251,8 +251,8 @@ def row_level_bootstrap(fit, op, ds, coef, null_value=0.0, B=999, seed=0, *,
     rows = ds.selected_indices() if op is None else op.selected_indices[op.anchor]
     uniq, cluster_idx = np.unique(ds.location_codes[rows], return_inverse=True)
     n_clusters = len(uniq)
-    kmat, _, _ = _sandwich(fit.g, fit.xtx_inv, op, fit.dee, 1.0, fit.z_sel,
-                           fit.probit.vbeta, "mills", fit.residuals)
+    kmat, _, _ = _sandwich(fit.g, fit.xtx_inv, op, fit.first, 1.0, "mills",
+                           fit.residuals)
     k_cc = float(kmat[col, col])
     proj = fit.xtx_inv @ x.T
     theta_obs = float(fit.theta[col])
@@ -271,7 +271,7 @@ def row_level_bootstrap(fit, op, ds, coef, null_value=0.0, B=999, seed=0, *,
             return 1.0
         theta = (fitted[None, :] + signs[:, cluster_idx] * resid[None, :]) @ proj.T
         num = theta[:, col] - null
-        se = np.abs(theta[:, fit.mills_col]) * np.sqrt(k_cc)
+        se = np.abs(theta[:, -1]) * np.sqrt(k_cc)
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(se > 0, num / se, np.where(num != 0, np.inf * np.sign(num), 0.0))
         count = int(np.sum(np.abs(t) >= abs(t_ref) * (1.0 - 1e-12)))

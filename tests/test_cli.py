@@ -125,6 +125,13 @@ def test_fit_boot_below_99_rejected(data_csv, tmp_path, capsys, boot):
     assert not (out / "fit_coefficients.csv").exists()
 
 
+def test_fit_boot_checked_before_load(tmp_path, capsys):
+    code = main(["fit", "--input", str(tmp_path / "missing.csv"), "--boot", "50",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "B must be at least 99" in capsys.readouterr().err
+
+
 def test_fit_location_bootstrap_never_builds_operator_matrix(data_csv, tmp_path, monkeypatch):
     ops = []
 

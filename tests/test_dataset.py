@@ -66,6 +66,17 @@ def test_load_csv_duplicate_obs_id(tmp_path):
         load_csv(_write(tmp_path, bad))
 
 
+@pytest.mark.parametrize("obs_ids", [[3, 1, 4, 1], ["b", "a", "c", "a"]],
+                         ids=["int", "str"])
+def test_dataset_duplicate_obs_id(obs_ids):
+    # built directly: the loader's own duplicate check never runs
+    with pytest.raises(ValidationError, match="duplicate obs_id values present"):
+        ClusteredDataset(obs_ids=obs_ids, location_ids=[1, 1, 2, 2],
+                         sublocation_ids=[1, 1, 1, 1], selected=[True, False, True, False],
+                         outcome=[1.0, np.nan, 2.0, np.nan], x=np.zeros((4, 1)),
+                         z=np.ones((4, 1)))
+
+
 def test_load_csv_missing_column(tmp_path):
     bad = CSV_6ROW.replace("selected", "chosen")
     with pytest.raises(ValidationError, match="missing column"):

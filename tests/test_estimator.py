@@ -163,6 +163,22 @@ def test_residual_variant_matches_dense_oracle():
     assert checked >= 30
 
 
+@pytest.mark.parametrize("build", [fixed_effect_operator, pairwise_operator],
+                         ids=["fixed_effect", "pairwise"])
+def test_untouched_columns_never_reach_residual_variance(build):
+    # an observation in no differenced row has a zero row of G = D'(DW), so
+    # the residual middle's 0 for it and the oracle's pooled mean agree
+    ds = make_dataset(n_locations=6, n_sublocations=4, n_per_sub=2, p=2, seed=4)
+    op = build(build_neighborhoods(ds, "sublocation"), ds.selected_indices())
+    fit = two_step_fit(ds, op, variance="residual")
+    untouched = op.column_sums(np.ones(op.rows)) == 0
+    assert op.dropped_anchors == untouched.sum() > 0
+    assert np.all(fit.g[untouched] == 0.0)
+    _, v_o = dense_two_step(ds, op, fit.probit, middle="residual")
+    np.testing.assert_allclose(fit.v_twostep, v_o, rtol=1e-9,
+                               atol=1e-10 * np.abs(v_o).max())
+
+
 # -- structural variance cases ---------------------------------------------------
 
 
@@ -172,7 +188,7 @@ def test_rho_zero_gives_zero_variance():
     op = fixed_effect_operator(g, ds.selected_indices())
     fit = two_step_fit(ds, op)
     frozen = dataclasses.replace(fit, rho=0.0)
-    v = variance_two_step(frozen, op, fit.probit)
+    v = variance_two_step(frozen, op)
     assert np.all(v == 0.0)
 
 
@@ -182,7 +198,8 @@ def test_vbeta_zero_drops_first_stage_component():
     op = fixed_effect_operator(g, ds.selected_indices())
     fit = two_step_fit(ds, op)
     probit0 = dataclasses.replace(fit.probit, vbeta=np.zeros_like(fit.probit.vbeta))
-    v = variance_two_step(fit, op, probit0)
+    first0 = dataclasses.replace(fit.first, probit=probit0)
+    v = variance_two_step(dataclasses.replace(fit, first=first0), op)
     np.testing.assert_allclose(v, fit.v1, atol=1e-14 * np.abs(fit.v1).max())
     assert np.abs(fit.v2).max() > 0
 
@@ -223,7 +240,7 @@ def test_residual_variance_variant_runs():
     op = fixed_effect_operator(g, ds.selected_indices())
     fit = two_step_fit(ds, op, variance="residual")
     assert np.isfinite(fit.se()).all()
-    v_mills = variance_two_step(fit, op, fit.probit, variant="mills")
+    v_mills = variance_two_step(fit, op, variant="mills")
     assert not np.allclose(fit.v_twostep, v_mills)
 
 
@@ -415,7 +432,7 @@ def test_fit_never_builds_membership_matrix(rule):
     op = fixed_effect_operator(build_neighborhoods(ds, rule), ds.selected_indices())
     for middle in ("mills", "residual"):
         fit = two_step_fit(ds, op, variance=middle)
-    variance_two_step(fit, op, fit.probit, variant="residual")
+    variance_two_step(fit, op, variant="residual")
     wild_cluster_bootstrap(fit, op, ds, "x1", B=99, compute_ci=True)
     assert "matrix" not in vars(op)
 

@@ -122,7 +122,6 @@ def test_full_enumeration_matches_brute_force_oracle():
 
     ds, op, fit = fitted_cell(J=4, s=1, n=4, seed=21)
     col = fit.names.index("x1")
-    mills_col = fit.mills_col
     x, y = fit.design_diff, fit.outcome_diff
     null = 1.0
 
@@ -139,11 +138,11 @@ def test_full_enumeration_matches_brute_force_oracle():
     clusters = ds.location_codes[anchors_ds]
     uniq = np.unique(clusters)
 
-    from spatsel.estimator import _sandwich
+    from spatsel.estimator import _first_stage, _sandwich
 
-    z_sel = fit.probit.design(ds, ds.selected_indices())
-    kmat, _, _ = _sandwich(op.matrix.T @ x, fit.xtx_inv, op, fit.dee, 1.0, z_sel,
-                           fit.probit.vbeta, "mills", fit.residuals)
+    first = _first_stage(ds, fit_probit(ds))
+    kmat, _, _ = _sandwich(op.matrix.T @ x, fit.xtx_inv, op, first, 1.0, "mills",
+                           fit.residuals)
     k_cc = float(kmat[col, col])
     se_obs = abs(fit.rho) * np.sqrt(k_cc)
     t_obs = (fit.theta[col] - null) / se_obs
@@ -154,7 +153,7 @@ def test_full_enumeration_matches_brute_force_oracle():
         w = np.array(signs)[np.searchsorted(uniq, clusters)]
         y_star = fitted + w * resid
         theta_star, *_ = np.linalg.lstsq(x, y_star, rcond=None)
-        se_star = abs(theta_star[mills_col]) * np.sqrt(k_cc)
+        se_star = abs(theta_star[-1]) * np.sqrt(k_cc)
         t_star = (theta_star[col] - null) / se_star if se_star > 0 else 0.0
         count += abs(t_star) >= abs(t_obs)
         total += 1

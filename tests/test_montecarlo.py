@@ -280,3 +280,60 @@ def test_failures_are_counted_not_dropped():
     for name in ESTIMATOR_NAMES:
         su = res.estimators[name]
         assert su.failures + len(su.estimates) == cell.replications
+
+
+def _replicate_through_public_fits(cell, rep):
+    """`_replicate` as three public fits, each building its own first stage."""
+    from spatsel.dataset import build_neighborhoods
+    from spatsel.differencing import fixed_effect_operator
+    from spatsel.estimator import heckman_classic, two_step_fit, variance_two_step
+    from spatsel.probit import ProbitSpec, fit_probit
+
+    out = np.full((3, 3), np.nan)
+    ds = generate_sample(cell, rep_seed(cell, rep))
+    probit = fit_probit(ds, ProbitSpec(include_location_dummies=cell.probit_dummies))
+    assert probit.converged
+    fit = heckman_classic(ds, probit_fit=probit)
+    i = fit.names.index("x1")
+    out[0, :2] = fit.theta[i], fit.se()[i]
+    for slot, rule in ((1, "location"), (2, "sublocation")):
+        op = fixed_effect_operator(build_neighborhoods(ds, rule), ds.selected_indices())
+        fit = two_step_fit(ds, op, probit_fit=probit)
+        i = fit.names.index("x1")
+        out[slot, :2] = fit.theta[i], fit.se()[i]
+    out[2, 2] = np.sqrt(max(variance_two_step(fit, op, "residual")[i, i], 0.0))
+    return out
+
+
+@pytest.mark.parametrize("cell", [SimCell(J=20, s=2, n=3),
+                                  SimCell(J=30, s=4, n=5, probit_dummies=True)],
+                         ids=["20-2-3", "30-4-5-dummies"])
+def test_replicate_matches_public_fits_bitwise(cell):
+    from spatsel.montecarlo import _replicate
+
+    for r in range(5):
+        np.testing.assert_array_equal(_replicate(cell, r),
+                                      _replicate_through_public_fits(cell, r))
+
+
+def test_replicate_builds_one_first_stage(monkeypatch):
+    from spatsel import estimator
+    from spatsel.montecarlo import _replicate
+    from spatsel.probit import ProbitFit
+
+    calls = {"mills": 0, "design": 0}
+    mills, design = estimator.mills_lambda_dee, ProbitFit.design
+
+    def counted_mills(c):
+        calls["mills"] += 1
+        return mills(c)
+
+    def counted_design(self, ds, rows=None):
+        calls["design"] += 1
+        return design(self, ds, rows)
+
+    monkeypatch.setattr(estimator, "mills_lambda_dee", counted_mills)
+    monkeypatch.setattr(ProbitFit, "design", counted_design)
+    out = _replicate(SimCell(J=20, s=2, n=3), 0)
+    assert np.isfinite(out[:, :2]).all()
+    assert calls == {"mills": 1, "design": 1}
