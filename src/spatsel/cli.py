@@ -23,11 +23,11 @@ import numpy as np
 
 from .dataset import CsvSchema, build_neighborhoods, load_adjacency, load_csv
 from .differencing import KERNELS, fixed_effect_operator, kernel_operator, pairwise_operator
-from .estimator import report_text, two_step_fit, write_coefficients_csv
+from .estimator import _first_stage, _second_step, report_text, write_coefficients_csv
 from .exceptions import EstimationError, ValidationError
 from .inference import MIN_REPLICATIONS, wild_cluster_bootstrap
 from .montecarlo import GridConfig, parse_int_list, run_tables
-from .probit import ProbitSpec, fit_probit, predict_index
+from .probit import ProbitSpec, fit_probit
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -131,17 +131,24 @@ def _check_bandwidth(args) -> None:
         raise ValidationError("--op kernel requires --bandwidth > 0")
 
 
-def _build_operator(args, ds, graph, probit):
-    """The operator the flags ask for; `probit` is the first-stage fit,
-    read only by --op kernel."""
+def _fit_first_stage(args, ds):
+    """The first stage (probit, selected-row design, Mills ratio) the flags
+    ask for, shared by the kernel pilot and the final fit."""
+    spec = ProbitSpec(include_location_dummies=args.probit_dummies)
+    return _first_stage(ds, fit_probit(ds, spec))
+
+
+def _build_operator(args, ds, graph, first):
+    """The operator the flags ask for; `first` is the first stage, read only
+    by --op kernel."""
     sel = ds.selected_indices()
     if args.op == "pairwise":
         return pairwise_operator(graph, sel)
     if args.op == "fixed-effect":
         return fixed_effect_operator(graph, sel)
     # two-pass plug-in: a pilot fixed-effect fit supplies the index x'd + z'b
-    pilot = two_step_fit(ds, fixed_effect_operator(graph, sel), probit_fit=probit)
-    index = ds.x[sel] @ pilot.delta + predict_index(probit, ds)
+    pilot = _second_step(ds, fixed_effect_operator(graph, sel), first, "mills")
+    index = ds.x[sel] @ pilot.delta + first.z @ first.probit.beta
     return kernel_operator(graph, sel, index, args.bandwidth, args.kernel)
 
 
@@ -151,9 +158,9 @@ def _cmd_fit(args) -> int:
         raise ValidationError(f"B must be at least {MIN_REPLICATIONS}")
     ds = load_csv(args.input, _schema_from_args(args))
     graph = _load_graph(args, ds)
-    probit = fit_probit(ds, ProbitSpec(include_location_dummies=args.probit_dummies))
-    op = _build_operator(args, ds, graph, probit)
-    fit = two_step_fit(ds, op, probit_fit=probit)
+    first = _fit_first_stage(args, ds)
+    op = _build_operator(args, ds, graph, first)
+    fit = _second_step(ds, op, first, "mills")
 
     boot_rows = {}
     if args.boot is not None:
@@ -209,10 +216,8 @@ def _cmd_dump_operator(args) -> int:
     _check_bandwidth(args)
     ds = load_csv(args.input, _schema_from_args(args))
     graph = _load_graph(args, ds)
-    probit = None
-    if args.op == "kernel":
-        probit = fit_probit(ds, ProbitSpec(include_location_dummies=args.probit_dummies))
-    op = _build_operator(args, ds, graph, probit)
+    first = _fit_first_stage(args, ds) if args.op == "kernel" else None
+    op = _build_operator(args, ds, graph, first)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "operator.csv")
     op.dump_csv(path)

@@ -7,12 +7,17 @@ outcome is recorded only for selected rows. Storage is column-oriented
 cheaply. A group (location or sub-location) is held only as its dense
 integer code; `group_layout` and `group_pairs` lay groups out from codes.
 
-CSV ingestion is columnar too: `load_csv` reads every record, transposes
-once and parses each numeric column in one pass, and runs each record
-check as a vector mask, reporting the first faulty row. Identifiers read
-from a file are fixed-width str arrays; `load_adjacency` returns its
-obs_id pairs as an (m, 2) str array, which the `edges` rule matches to
-rows with one sort and a binary search.
+CSV ingestion is columnar too. numpy's C reader (`np.loadtxt` into
+StringDType) tokenizes a file once; number columns are cast to float64,
+which parses as float() does, and each record check runs once as a vector
+over the columns. csv.reader reads only what the C reader refuses or could
+read differently (a whitespace-only line, a short or ragged row, a lone
+carriage return, any NUL, a quote in the header, a field longer than
+`csv.field_size_limit()`), and any file that fails a check, so that the
+error names the first faulty row. Identifiers read from a file are
+fixed-width str arrays; `load_adjacency` returns its obs_id pairs as an
+(m, 2) str array, which the `edges` rule matches to rows with one sort and
+a binary search.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import csv
 import itertools
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 from typing import Sequence
 
@@ -212,6 +218,120 @@ def _parses(text: str) -> bool:
     return True
 
 
+def _layout(header: list | None, schema: CsvSchema, path):
+    """The header's width, column positions and x, z and coordinate columns;
+    a missing column is a ValidationError."""
+    if header is None:
+        raise ValidationError(f"{path}: file is empty")
+    header = [h.strip() for h in header]
+    pos = {name: i for i, name in enumerate(header)}
+
+    x_cols = schema.x_cols or _detect_block(header, "x")
+    z_cols = schema.z_cols or _detect_block(header, "z")
+    coord_cols = []
+    if schema.coord_x and schema.coord_y:
+        coord_cols = [schema.coord_x, schema.coord_y]
+    elif "coord_x" in pos and "coord_y" in pos and schema.coord_x is None:
+        coord_cols = ["coord_x", "coord_y"]
+
+    required = [schema.obs_id, schema.location, schema.sublocation,
+                schema.selected, schema.outcome, *x_cols, *z_cols, *coord_cols]
+    missing = [c for c in required if c not in pos]
+    if missing:
+        raise ValidationError(f"{path}: missing column(s) {missing}")
+    if not x_cols:
+        raise ValidationError(f"{path}: no x columns found (expected x1, x2, ...)")
+    if not z_cols:
+        raise ValidationError(f"{path}: no z columns found (expected z1, z2, ...)")
+    return len(header), pos, x_cols, z_cols, coord_cols
+
+
+def _c_fields(fh) -> np.ndarray | None:
+    """The remaining records of an open CSV file as a 2-D StringDType array,
+    tokenized by numpy's C reader; None for input that only csv.reader reads.
+
+    The C reader splits records as csv.reader does where it accepts them.
+    It refuses a row with another field count than the first (a short or
+    whitespace-only line among them) and a lone carriage return. It has no
+    field-size limit, so a longer field than csv.reader allows is sent back.
+    A file with a NUL never reaches it (see `_has_nul`).
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)    # input with no data
+            fields = np.loadtxt(fh, dtype="T", delimiter=",", quotechar='"',
+                                comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if not fields.size or np.strings.str_len(fields).max() > csv.field_size_limit():
+        return None
+    return fields
+
+
+def _has_nul(path) -> bool:
+    """Whether a file holds a NUL character. StringDType strings and their
+    `np.strings` functions treat a trailing NUL as absent, where `str.strip`
+    keeps it, so such a file is read by csv.reader."""
+    with open(path, "rb") as fh:
+        return any(b"\x00" in chunk for chunk in iter(partial(fh.read, 1 << 20), b""))
+
+
+def _fixed_width(texts: np.ndarray) -> np.ndarray:
+    """StringDType text as a fixed-width str array as wide as its longest."""
+    return texts.astype(f"U{max(int(np.strings.str_len(texts).max(initial=0)), 1)}")
+
+
+def _from_fields(fields: np.ndarray, schema: CsvSchema, width: int, pos: dict,
+                 x_cols: list, z_cols: list, coord_cols: list) -> ClusteredDataset | None:
+    """The dataset in C-read fields, or None if any record check fails, so
+    that the csv.reader path words the error with its row number."""
+    if fields.shape[1] < width:
+        return None
+
+    def text(name: str) -> np.ndarray:
+        return np.strings.strip(fields[:, pos[name]])
+
+    def flagged(flags, outcome_text) -> np.ndarray | None:
+        """The selection mask, if every flag is 0/1 and outcomes are present
+        exactly where it is 1."""
+        selected = flags == "1"
+        ok = ((selected | (flags == "0")).all()
+              and np.array_equal(selected, np.strings.str_len(outcome_text) > 0))
+        return selected if ok else None
+
+    # flags and outcomes are stripped only if they fail as read: float()
+    # ignores the padding of an outcome, and a blank one fails to parse
+    outcome_text = fields[:, pos[schema.outcome]]
+    selected = flagged(fields[:, pos[schema.selected]], outcome_text)
+    if selected is None:
+        outcome_text = text(schema.outcome)
+        selected = flagged(text(schema.selected), outcome_text)
+        if selected is None:
+            return None
+    outcome = np.full(len(fields), np.nan)
+    try:
+        # the casts parse as float() does, which turns 1e400 into inf silently
+        with np.errstate(over="ignore"):
+            outcome[selected] = outcome_text[selected].astype(np.float64)
+            x, z, coords = (np.column_stack([fields[:, pos[c]].astype(np.float64) for c in names])
+                            if names else None for names in (x_cols, z_cols, coord_cols))
+        # obs_id uniqueness is left to the dataset's own check
+        return ClusteredDataset(
+            obs_ids=_fixed_width(text(schema.obs_id)),
+            location_ids=_fixed_width(text(schema.location)),
+            sublocation_ids=_fixed_width(text(schema.sublocation)),
+            selected=selected,
+            outcome=outcome,
+            x=x,
+            z=z,
+            coords=coords,
+            x_names=x_cols,
+            z_names=z_cols,
+        )
+    except ValueError:                   # a number float() refuses, or a ValidationError
+        return None
+
+
 def load_csv(path, schema: CsvSchema | None = None) -> ClusteredDataset:
     """Load and validate a clustered dataset from a UTF-8 CSV file.
 
@@ -220,42 +340,35 @@ def load_csv(path, schema: CsvSchema | None = None) -> ClusteredDataset:
     `schema` remaps any of them. A missing outcome is an empty field.
     Row numbers in error messages count the header as row 1.
 
-    The file is read whole and checked column by column. Every record
-    check is one vector mask over the rows; when several rows fail, the
-    error names the first of them, and within a row the first failing
-    check in this order: field count, an id or label ending in a NUL
-    character, duplicate obs_id, the 0/1 selection flag, outcome present
-    exactly when selected, then each number (outcome, x, z, coordinates).
-    Rows after a short row are not checked. A record the csv module cannot
-    read is refused before any row is checked.
+    numpy's C reader tokenizes the file, and the columns it returns are
+    checked and parsed as vectors. Input it cannot read as csv.reader would
+    (see `_c_fields`), a header with a quote, and any file that fails a
+    check are read again with csv.reader, one column at a time. Every
+    record check there is one vector mask over the rows; when several rows
+    fail, the error names the first of them, and within a row the first
+    failing check in this order: field count, an id or label ending in a
+    NUL character, duplicate obs_id, the 0/1 selection flag, outcome
+    present exactly when selected, then each number (outcome, x, z,
+    coordinates). Rows after a short row are not checked. A record the csv
+    module cannot read is refused before any row is checked.
     """
     schema = schema or CsvSchema()
+    fields = None
+    with open(path, newline="", encoding="utf-8") as fh:
+        first = fh.readline()
+        # an empty file, or a quoted header, which may span lines, is left to csv.reader
+        if first and '"' not in first and not _has_nul(path):
+            layout = _layout(next(_records([first], path)), schema, path)
+            fields = _c_fields(fh)
+    ds = None if fields is None else _from_fields(fields, schema, *layout)
+    return _load_rows(path, schema) if ds is None else ds
+
+
+def _load_rows(path, schema: CsvSchema) -> ClusteredDataset:
+    """`load_csv` through csv.reader, which words every fault."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _records(fh, path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        pos = {name: i for i, name in enumerate(header)}
-
-        x_cols = schema.x_cols or _detect_block(header, "x")
-        z_cols = schema.z_cols or _detect_block(header, "z")
-        coord_cols = []
-        if schema.coord_x and schema.coord_y:
-            coord_cols = [schema.coord_x, schema.coord_y]
-        elif "coord_x" in pos and "coord_y" in pos and schema.coord_x is None:
-            coord_cols = ["coord_x", "coord_y"]
-
-        required = [schema.obs_id, schema.location, schema.sublocation,
-                    schema.selected, schema.outcome, *x_cols, *z_cols, *coord_cols]
-        missing = [c for c in required if c not in pos]
-        if missing:
-            raise ValidationError(f"{path}: missing column(s) {missing}")
-        if not x_cols:
-            raise ValidationError(f"{path}: no x columns found (expected x1, x2, ...)")
-        if not z_cols:
-            raise ValidationError(f"{path}: no z columns found (expected z1, z2, ...)")
+        width, pos, x_cols, z_cols, coord_cols = _layout(next(reader, None), schema, path)
         rows = list(reader)
 
     rows, line = _filled(rows)
@@ -271,7 +384,6 @@ def load_csv(path, schema: CsvSchema | None = None) -> ClusteredDataset:
         if bad.size:
             faults.append((int(bad[0]), len(faults), message(int(bad[0]))))
 
-    width = len(header)
     n_fields = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     check(n_fields < width,
           lambda i: f"row {line[i]}: expected {width} fields, got {n_fields[i]}")
@@ -373,8 +485,18 @@ def load_adjacency(path) -> np.ndarray:
     """Read a two-column CSV of obs_id pairs (no header) as an (m, 2) str array.
 
     Blank rows are skipped, fields are stripped and fields past the second
-    are ignored.
+    are ignored. numpy's C reader tokenizes the file; csv.reader reads it
+    instead where the C reader could differ (see `_c_fields`) or a row is
+    blank.
     """
+    fields = None
+    if not _has_nul(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            fields = _c_fields(fh)
+    if fields is not None and fields.shape[1] >= 2:
+        texts = np.strings.strip(fields)
+        if np.strings.str_len(texts).any(axis=1).all():
+            return _fixed_width(texts[:, :2])
     with open(path, newline="", encoding="utf-8") as fh:
         rows, record = _filled(list(_records(fh, path)))
     short = np.flatnonzero(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) < 2)

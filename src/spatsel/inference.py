@@ -8,12 +8,16 @@ first stage is held fixed across draws, so the probit fit and the mills
 ratios are unchanged by construction.
 
 Draws are formed at cluster level (Roodman, MacKinnon, Nielsen & Webb,
-"Fast and wild", Stata Journal 19(1), 2019): theta* = P f + sum_g w_g C_g,
-with P = (X'X)^-1 X', f and e the restricted fit and residuals, and C_g
-the sum of P[:, r] e[r] over the rows r of cluster g, so one draw costs
-O(G k), not O(M k) over the M differenced rows. The per-draw t uses the
-corrected covariance, which for a fixed first stage scales with the draw's
-squared mills coefficient; its scale-free part is computed once.
+"Fast and wild", Stata Journal 19(1), 2019): theta* = theta_r + sum_g w_g C_g,
+with theta_r the restricted coefficients, P = (X'X)^-1 X', e the restricted
+residuals and C_g the sum of P[:, r] e[r] over the rows r of cluster g.
+The restricted fit is linear in the null value t, so theta_r = a + t b,
+e = r0 - t r1 and C_g = C0_g - t C1_g. One pass over the M differenced rows
+per coefficient forms the draws' two affine parts for the tested and the
+mills coefficient (B x 2 each); after that a p-value at any null value,
+and so each step of the interval search, costs O(B). The per-draw t uses
+the corrected covariance, which for a fixed first stage scales with the
+draw's squared mills coefficient; its scale-free part is computed once.
 """
 
 from __future__ import annotations
@@ -58,29 +62,15 @@ def _row_clusters(op: DifferenceOperator | None, ds: ClusteredDataset) -> np.nda
     return ds.location_codes[rows]
 
 
-def _restricted(x: np.ndarray, y: np.ndarray, col: int, null_value: float):
-    """Null-imposed OLS: coefficient `col` fixed at null_value."""
-    k = x.shape[1]
-    others = [j for j in range(k) if j != col]
-    y_adj = y - null_value * x[:, col]
-    theta_rest = np.zeros(k)
-    theta_rest[col] = null_value
-    if others:
-        coef, *_ = np.linalg.lstsq(x[:, others], y_adj, rcond=None)
-        theta_rest[others] = coef
-    fitted = x @ theta_rest
-    return theta_rest, fitted, y - fitted
-
-
-def _t_for_draws(theta: np.ndarray, col: int, null_value: float, k_cc: float) -> np.ndarray:
-    """t statistics for bootstrap coefficient draws (draws in rows)."""
-    num = theta[:, col] - null_value
-    se = np.abs(theta[:, -1]) * np.sqrt(k_cc)
-    t = np.zeros(len(num))
-    ok = se > 0
-    t[ok] = num[ok] / se[ok]
-    big = ~ok & (num != 0)
-    t[big] = np.inf * np.sign(num[big])
+def _t_for_draws(draws: np.ndarray, null_value: float, k_cc: float) -> np.ndarray:
+    """t statistics for bootstrap draws of (tested, mills) coefficients, one
+    draw per row."""
+    num = draws[:, 0] - null_value
+    se = np.abs(draws[:, 1]) * np.sqrt(k_cc)
+    # a zero se gives +-inf, or 0 where the numerator is 0 too
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = num / se
+    t[np.isnan(t)] = 0.0
     return t
 
 
@@ -125,11 +115,11 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
 
     x = fit.design_diff
     y = fit.outcome_diff
+    k = x.shape[1]
     # scale-free covariance: v_twostep(rho) = rho^2 * kmat
     kmat, _, _ = _sandwich(fit.g, fit.xtx_inv, op, fit.first, 1.0, "mills",
                            fit.residuals)
     k_cc = float(kmat[col, col])
-    proj = fit.xtx_inv @ x.T
 
     # observed and bootstrap t statistics use the same corrected-variance
     # form (se = |mills coefficient| * sqrt(k_cc)), regardless of which
@@ -148,22 +138,43 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
         signs = (2 * patterns - 1).astype(np.float64)
     else:
         rng = np.random.default_rng(seed)
-        signs = rng.integers(0, 2, size=(B, n_clusters)).astype(np.float64) * 2.0 - 1.0
+        signs = rng.integers(0, 2, size=(B, n_clusters)) * 2.0 - 1.0
     reps = signs.shape[0]
 
-    y_scale = float(np.abs(y).max()) if len(y) else 0.0
+    # The restricted fit is linear in the null value: theta_rest = a + null * b
+    # and its residuals r0 - null * r1. So are the cluster scores C0 - null * C1
+    # and every draw a + W C0' + null * (b - W C1'), which are formed once.
+    others = [j for j in range(k) if j != col]
+    a, b = np.zeros(k), np.zeros(k)
+    b[col] = 1.0
+    if others:
+        coef_ab, *_ = np.linalg.lstsq(x[:, others], np.column_stack([y, x[:, col]]),
+                                      rcond=None)
+        a[others], b[others] = coef_ab[:, 0], -coef_ab[:, 1]
+    r0, r1 = y - x @ a, x @ b
+    kept = [col, k - 1]                      # the tested and the mills coefficient
+    proj = fit.xtx_inv[kept] @ x.T
+
+    def scores(resid):
+        """Per-cluster projected residuals, 2 x G."""
+        return np.stack([np.bincount(cluster_idx, weights=p_row * resid,
+                                     minlength=n_clusters) for p_row in proj])
+
+    draws0 = a[kept] + signs @ scores(r0).T
+    draws1 = b[kept] - signs @ scores(r1).T
+
+    tol = 1e-12 * max(1.0, float(np.abs(y).max()) if len(y) else 0.0)
+    # every residual is within tol only if the one with the largest |r1| is,
+    # so that row screens each null before a pass over all M rows
+    pivot = int(np.argmax(np.abs(r1)))
 
     def p_at(null: float) -> float:
         t_ref = (theta_obs - null) / se_obs if se_obs > 0 else t_obs
-        _, fitted, resid = _restricted(x, y, col, null)
-        if np.abs(resid).max() <= 1e-12 * max(1.0, y_scale):
+        if (abs(r0[pivot] - null * r1[pivot]) <= tol
+                and np.abs(r0 - null * r1).max() <= tol):
             # degenerate: every draw reproduces the observed statistic
             return 1.0
-        base = proj @ fitted
-        # per-cluster projected residuals, k x G
-        c = np.stack([np.bincount(cluster_idx, weights=p_row * resid,
-                                  minlength=n_clusters) for p_row in proj])
-        t_star = _t_for_draws(base + signs @ c.T, col, null, k_cc)
+        t_star = _t_for_draws(draws0 + null * draws1, null, k_cc)
         count = int(np.sum(np.abs(t_star) >= abs(t_ref) * (1.0 - _TIE_SLACK)))
         if full_enumeration:
             return count / reps

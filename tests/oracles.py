@@ -6,7 +6,8 @@ dense normal equations, the covariance assembles the full N x N pieces
 V1 = rho^2 D R D' and V2 = rho^2 D S z Vb z' S D' explicitly, and the
 inverse Mills ratio comes from scipy.stats.norm rather than the package's
 own kernels. `row_level_bootstrap` is the wild cluster bootstrap evaluated
-draw by draw over every differenced row. `loop_operator` builds a
+draw by draw over every differenced row, with a restricted refit at every
+null value (`row_level_p_at`). `loop_operator` builds a
 difference operator row by row from the graph's neighbor sets.
 `row_loop_load_csv` reads a dataset CSV one row at a time and
 `row_loop_write_csv` writes one the same way. `loop_build_design` builds
@@ -233,18 +234,32 @@ def dense_heckman(ds, probit, middle="mills"):
     return theta, v
 
 
-def row_level_bootstrap(fit, op, ds, coef, null_value=0.0, B=999, seed=0, *,
-                        full_enumeration=False, ci_level=0.95):
-    """Reference wild cluster bootstrap: (p_value, ci_low, ci_high).
+def _restricted(x: np.ndarray, y: np.ndarray, col: int, null_value: float):
+    """Null-imposed OLS: coefficient `col` fixed at null_value. Returns
+    (theta_rest, fitted, residuals)."""
+    k = x.shape[1]
+    others = [j for j in range(k) if j != col]
+    y_adj = y - null_value * x[:, col]
+    theta_rest = np.zeros(k)
+    theta_rest[col] = null_value
+    if others:
+        coef, *_ = np.linalg.lstsq(x[:, others], y_adj, rcond=None)
+        theta_rest[others] = coef
+    fitted = x @ theta_rest
+    return theta_rest, fitted, y - fitted
 
-    Every draw rebuilds the synthetic outcome y* = fitted + w * resid over
-    all M differenced rows and projects it, theta* = (X'X)^-1 X' y*, so each
-    null value costs a draws x M array. The restricted fit, the studentising
-    scale and the interval search are the package's own, so a difference
-    from `wild_cluster_bootstrap` can only come from how theta* is formed.
+
+def row_level_p_at(fit, op, ds, coef, B=999, seed=0, *, full_enumeration=False):
+    """Reference bootstrap p-value as a function of the null value.
+
+    Each null value gets its own restricted refit (`_restricted`), and
+    every draw rebuilds the synthetic outcome y* = fitted + w * resid over
+    all M differenced rows and projects it, theta* = (X'X)^-1 X' y*, so a
+    null value costs a draws x M array. The studentising scale, the tie
+    slack and the degenerate-residual rule are the package's. Returns
+    (p_at, theta_obs, se_obs).
     """
     from spatsel.estimator import _sandwich
-    from spatsel.inference import _invert, _restricted
 
     col = fit.names.index(coef)
     x, y = fit.design_diff, fit.outcome_diff
@@ -279,6 +294,21 @@ def row_level_bootstrap(fit, op, ds, coef, null_value=0.0, B=999, seed=0, *,
             return count / len(signs)
         return (1 + count) / (1 + len(signs))
 
+    return p_at, theta_obs, se_obs
+
+
+def row_level_bootstrap(fit, op, ds, coef, null_value=0.0, B=999, seed=0, *,
+                        full_enumeration=False, ci_level=0.95):
+    """Reference wild cluster bootstrap: (p_value, ci_low, ci_high).
+
+    The p-values are `row_level_p_at`'s and the interval search is the
+    package's own, so a difference from `wild_cluster_bootstrap` can only
+    come from how the restricted fit and theta* are formed.
+    """
+    from spatsel.inference import _invert
+
+    p_at, theta_obs, se_obs = row_level_p_at(fit, op, ds, coef, B, seed,
+                                             full_enumeration=full_enumeration)
     alpha = float(1 - Fraction(str(ci_level)))
     half = 6.0 * se_obs
     p_value = p_at(null_value)

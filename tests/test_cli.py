@@ -96,7 +96,7 @@ def test_fit_internal_error_exit_4(data_csv, tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "two_step_fit", broken)
+    monkeypatch.setattr(cli, "_second_step", broken)
     code = main(["fit", "--input", str(data_csv), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_INTERNAL == 4
     assert "internal error: RuntimeError: boom" in capsys.readouterr().err
@@ -174,6 +174,23 @@ def test_kernel_path_fits_probit_once(data_csv, tmp_path, probit_calls, command)
                  "--bandwidth", "2.0", "--out", str(tmp_path / "k")])
     assert code == 0
     assert len(probit_calls) == 1
+
+
+def test_kernel_fit_builds_one_first_stage(data_csv, tmp_path, monkeypatch):
+    # the pilot and the final fit share one selected-row design and Mills ratio
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return first_stage(*args, **kwargs)
+
+    first_stage = estimator._first_stage
+    monkeypatch.setattr(estimator, "_first_stage", counting)
+    monkeypatch.setattr(cli, "_first_stage", counting, raising=False)
+    code = main(["fit", "--input", str(data_csv), "--op", "kernel",
+                 "--bandwidth", "2.0", "--out", str(tmp_path / "k")])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_fit_kernel_requires_bandwidth(data_csv, tmp_path, capsys):

@@ -1,12 +1,14 @@
 import csv
 import io
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spatsel import dataset
 from spatsel.dataset import (
     ClusteredDataset,
     CsvSchema,
@@ -329,6 +331,23 @@ def test_load_adjacency(tmp_path):
         load_adjacency(short)
 
 
+@pytest.mark.parametrize("text", [
+    "a,b\nb,c\n",                       # numpy's C reader
+    "a,b,1\nb,c,2\n",                   # the same number of fields past the second
+    '"a,1", b \r\n"b\n2",#c\r\n',     # quoted delimiter and line break, CRLF, '#'
+    "\xa0a\xa0,b\n",                    # padding that str.strip drops
+    "a,b\n , \nb,c\n",                 # a row of blank fields, which is skipped
+    "a,b\n  \nb,c\n",                  # a whitespace-only line
+    "a,b,1\nb,c\n",                     # rows of different widths
+    "a,b\nb,c \x00\n",                 # a NUL, which str.strip keeps
+])
+def test_load_adjacency_matches_csv_reader(tmp_path, text):
+    path = _write(tmp_path, text, name="adj.csv")
+    rows = [r for r in csv.reader(io.StringIO(text, newline="")) if "".join(r).strip()]
+    want = np.array([[f.strip() for f in r[:2]] for r in rows], dtype=str)
+    assert load_adjacency(path).tolist() == want.tolist()
+
+
 def _oversized_field():
     # one character past the csv module's default field size limit
     return "a" * (csv.field_size_limit() + 1)
@@ -425,11 +444,36 @@ def _outcome_of(loader, path):
 CSV_HEADER = "obs_id,location,sublocation,selected,y2,x1,z1\n"
 
 
+GOOD_ROWS = "a,L1,S,1,1.5,0.5,2\nb,L2,S,0,,-1e3,3\n"
+LONG_FIELD = "9" * (csv.field_size_limit() + 1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(text=dataset_csv())
 # two faults in one row: the duplicate id is checked before the flag and the outcome
 @example(text=CSV_HEADER + "a,L1,S,1,1,0,0\n a ,L2,S,yes,,0,0\n")
 @example(text=CSV_HEADER + "a,L1,S,1,1,0,0\nb,L2,S,0,,0,0\n a,L2,S,1,,0,0\n")
+# inputs numpy's C reader reads, and inputs it leaves to csv.reader
+@example(text=CSV_HEADER + GOOD_ROWS + "#c,L1,S#1,1,2,0,0\nd#,L2,S,0,,0,0\n")
+@example(text=CSV_HEADER + GOOD_ROWS + "\xa0c\xa0,\xa0L1,S,\xa01,\xa02\xa0,\xa00,0\n")
+# a trailing NUL, which np.strings.strip drops (`test_label_ending_in_nul_refused`
+# covers one in an id, which the row loop keeps)
+@example(text=CSV_HEADER + GOOD_ROWS + "c,L1,S,0, \x00 ,0,0\n")
+@example(text=CSV_HEADER + GOOD_ROWS + "c,L1,S,1\x00,2,0,0\n")
+@example(text=CSV_HEADER + GOOD_ROWS + f"c,L1,S,1,2,{LONG_FIELD},0\n")
+@example(text=CSV_HEADER + GOOD_ROWS + "c,L1,S,1,1e400,0,0\nd,L2,S,0,,-17976931348623158e308,0\n")
+@example(text=CSV_HEADER + GOOD_ROWS + "c,L1,S,2,,0,0\n")
+@example(text=CSV_HEADER + GOOD_ROWS.replace("\n", f",x,{LONG_FIELD}\n"))
+@example(text=CSV_HEADER + GOOD_ROWS + "   \nc,L1,S,1,2,0,0\n")
+@example(text=CSV_HEADER + GOOD_ROWS + ",,,,,,,\n")
+@example(text=CSV_HEADER + GOOD_ROWS.replace("\n", ",extra,9\n"))
+@example(text=CSV_HEADER + GOOD_ROWS.replace("\n", ",extra\n", 1))
+@example(text=CSV_HEADER + GOOD_ROWS + '"c,1",L1,"S ""2""",1,"2",0,0\n')
+@example(text=CSV_HEADER + GOOD_ROWS + '"c\n1",L1,S,1,2,0,0\n"d",L1,"S\r\n2",0,,0,0\n')
+@example(text=(CSV_HEADER + GOOD_ROWS).replace("\n", "\r\n"))
+@example(text=(CSV_HEADER + GOOD_ROWS).replace("\n", "\r"))
+@example(text='"obs_id",location,sublocation,selected,y2,x1,z1\n' + GOOD_ROWS)
+@example(text=CSV_HEADER + GOOD_ROWS.replace("a,", "b,", 1))
 def test_load_csv_matches_row_loop(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("parity") / "d.csv"
     path.write_text(text, encoding="utf-8")
@@ -449,6 +493,45 @@ def test_load_csv_matches_row_loop(tmp_path_factory, text):
     if want.coords is not None:
         assert np.array_equal(got.coords, want.coords)
     assert (got.x_names, got.z_names) == (want.x_names, want.z_names)
+
+
+PADDING = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\u2003"])
+
+
+@st.composite
+def number_text(draw):
+    """A number as a CSV cell may hold it: several text forms of a double
+    (subnormals and both zeros among them), exponent forms, the words for
+    infinity and NaN, each with padding."""
+    value = draw(st.floats(allow_subnormal=True)
+                 | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308]))
+    text = draw(st.sampled_from([repr(value), f"{value:.17e}", f"{value:.17E}",
+                                 f"{value:.6g}", f"{value:+.3f}"])
+                | st.from_regex(r"[+-]?(\d{1,20}\.?\d{0,20}|\.\d{1,20})([eE][+-]?\d{1,3})?",
+                                fullmatch=True)
+                | st.sampled_from(["inf", "-inf", "+Infinity", "INF", "nan", "-nan", "+NaN",
+                                   "1_000.5", "1e-400", "-1e400", "4.9406564584124654e-324",
+                                   "17976931348623158e308"]))
+    return draw(PADDING) + text + draw(PADDING)
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts=st.lists(st.tuples(number_text(), number_text()), min_size=4, max_size=12))
+# numpy's cast warns of an overflow at this text, where float() is silent
+@example(texts=[("17976931348623158e308", " -0 ")] * 4)
+def test_c_reader_floats_equal_float(tmp_path_factory, texts):
+    # coordinates take any double, so every text reaches the parsed array;
+    # the csv.reader path is patched out, so the C reader parsed them all
+    lines = [CSV_HEADER.strip() + ",coord_x,coord_y"]
+    lines += [f"o{i},L{i % 2},S,0,,0,0,{a},{b}" for i, (a, b) in enumerate(texts)]
+    path = tmp_path_factory.mktemp("floats") / "d.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with (mock.patch.object(dataset, "_load_rows", side_effect=AssertionError("csv.reader")),
+          warnings.catch_warnings()):
+        warnings.simplefilter("error")      # float() parses 1e400 without a warning
+        coords = load_csv(path).coords
+    want = np.array([[float(a), float(b)] for a, b in texts])
+    assert coords.tobytes() == want.tobytes()
 
 
 def test_label_ending_in_nul_refused(tmp_path):

@@ -9,7 +9,7 @@ from spatsel.inference import _invert, wild_cluster_bootstrap
 from spatsel.montecarlo import SimCell, generate_sample
 from spatsel.probit import fit_probit
 
-from oracles import row_level_bootstrap
+from oracles import row_level_bootstrap, row_level_p_at
 
 
 def fitted_cell(J=8, s=2, n=4, seed=3, rep=0, **cell_kw):
@@ -212,6 +212,27 @@ def test_cluster_sums_match_row_level_oracle(kind, coef, null, draws):
                                  compute_ci=True, **draws)
     want = row_level_bootstrap(fit, op, ds, coef, null_value=null, **draws)
     assert (res.p_value, res.ci_low, res.ci_high) == want
+
+
+@pytest.mark.parametrize("coef", ["x1", "mills"])
+@pytest.mark.parametrize("kind", ["heckman", "fixed_effect", "pairwise"])
+def test_affine_draws_match_refit_at_every_null(kind, coef):
+    # the package's draws are affine in the null value; the oracle refits
+    # the restricted model at each null: p-values equal across +-50 se
+    ds = generate_sample(SimCell(J=10, s=2, n=5, seed=7), 0)
+    if kind == "heckman":
+        op, fit = None, heckman_classic(ds)
+    else:
+        build = fixed_effect_operator if kind == "fixed_effect" else pairwise_operator
+        op = build(build_neighborhoods(ds, "sublocation"), ds.selected_indices())
+        fit = two_step_fit(ds, op)
+    p_at, theta_obs, se_obs = row_level_p_at(fit, op, ds, coef, B=199, seed=8)
+    nulls = theta_obs + se_obs * np.linspace(-50.0, 50.0, 31)
+    got = [wild_cluster_bootstrap(fit, op, ds, coef, null_value=v, B=199, seed=8).p_value
+           for v in nulls]
+    want = [p_at(v) for v in nulls]
+    assert got == want
+    assert len(set(want)) > 3
 
 
 def test_invert_never_bracketed_end_is_infinite():
