@@ -16,6 +16,7 @@ byte given the same inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -35,6 +36,7 @@ EXIT_ESTIMATION = 3
 EXIT_INTERNAL = 4
 
 
+@functools.cache   # built once per process; each parse_args gives a new Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spatsel",

@@ -8,16 +8,17 @@ cheaply. A group (location or sub-location) is held only as its dense
 integer code; `group_layout` and `group_pairs` lay groups out from codes.
 
 CSV ingestion is columnar too. numpy's C reader (`np.loadtxt` into
-StringDType) tokenizes a file once; number columns are cast to float64,
-which parses as float() does, and each record check runs once as a vector
-over the columns. csv.reader reads only what the C reader refuses or could
-read differently (a whitespace-only line, a short or ragged row, a lone
-carriage return, any NUL, a quote in the header, a field longer than
-`csv.field_size_limit()`), and any file that fails a check, so that the
-error names the first faulty row. Identifiers read from a file are
-fixed-width str arrays; `load_adjacency` returns its obs_id pairs as an
-(m, 2) str array, which the `edges` rule matches to rows with one sort and
-a binary search.
+StringDType) tokenizes a file once. csv.reader tokenizes only what the C
+reader refuses or could read differently (a whitespace-only line, a short
+or ragged row, a lone carriage return, any NUL, a quote in the header, a
+field longer than `csv.field_size_limit()`), and any file that fails a
+check, so that the error names the first faulty row; it only tokenizes and
+numbers the rows. One set of record checks (`_dataset`) then runs on the
+records whichever reader tokenized them, each check once as a vector, and
+number columns are cast to float64, which parses as float() does.
+Identifiers read from a file are fixed-width str arrays; `load_adjacency`
+returns its obs_id pairs as an (m, 2) str array, which the `edges` rule
+matches to rows with one sort and a binary search.
 """
 
 from __future__ import annotations
@@ -281,55 +282,116 @@ def _fixed_width(texts: np.ndarray) -> np.ndarray:
     return texts.astype(f"U{max(int(np.strings.str_len(texts).max(initial=0)), 1)}")
 
 
-def _from_fields(fields: np.ndarray, schema: CsvSchema, width: int, pos: dict,
-                 x_cols: list, z_cols: list, coord_cols: list) -> ClusteredDataset | None:
-    """The dataset in C-read fields, or None if any record check fails, so
-    that the csv.reader path words the error with its row number."""
-    if fields.shape[1] < width:
-        return None
+def _dataset(fields: np.ndarray, layout: tuple, schema: CsvSchema,
+             line: np.ndarray | None = None, counts: np.ndarray | None = None,
+             nul: bool = False) -> ClusteredDataset:
+    """The dataset in a 2-D StringDType array of records, whichever reader
+    tokenized them, after every record check.
+
+    `layout` is what `_layout` returns. With `line`, the records' row numbers
+    in the file, a fault raises a ValidationError naming the first faulty
+    row and, within it, the first failing check in this order: field count,
+    an id or label ending in a NUL, duplicate obs_id, the 0/1 flag, outcome
+    present exactly when selected, then each number (outcome, x, z,
+    coordinates). Rows after a short row are not checked. `counts` holds
+    each record's field count (default: the array's width). `nul` marks text
+    with a NUL, which `np.strings` drops from a string's end, so that text
+    is stripped in Python.
+
+    Without `line` (numpy's C reader), a fault raises a bare ValueError,
+    obs_id uniqueness is left to the dataset's own check, and flags and
+    outcomes are stripped only if they fail as read.
+    """
+    width, pos, x_cols, z_cols, coord_cols = layout
+    # (row, check order, message), appended in check order; the least is raised
+    faults: list = []
+
+    def check(mask, message) -> None:
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            if line is None:
+                raise ValueError("a record check failed")
+            faults.append((int(bad[0]), len(faults), message(int(bad[0]))))
+
+    counts = np.broadcast_to(fields.shape[1], len(fields)) if counts is None else counts
+    check(counts < width, lambda i: f"row {line[i]}: expected {width} fields, got {counts[i]}")
+    if faults:
+        fields = fields[:faults[0][0]]   # rows past a short one are never reached
+    n = len(fields)
 
     def text(name: str) -> np.ndarray:
-        return np.strings.strip(fields[:, pos[name]])
+        col = fields[:, pos[name]]
+        if nul:
+            return np.array([t.strip() for t in col.tolist()], dtype="T")
+        return np.strings.strip(col)
 
-    def flagged(flags, outcome_text) -> np.ndarray | None:
-        """The selection mask, if every flag is 0/1 and outcomes are present
-        exactly where it is 1."""
-        selected = flags == "1"
-        ok = ((selected | (flags == "0")).all()
-              and np.array_equal(selected, np.strings.str_len(outcome_text) > 0))
-        return selected if ok else None
+    def labels(name: str) -> np.ndarray:
+        """A text column as a fixed-width str array. Those drop trailing NUL
+        characters, so a field that ends in one is refused."""
+        texts = text(name)
+        if nul:
+            check([t.endswith("\x00") for t in texts.tolist()],
+                  lambda i: f"row {line[i]}: column {name!r} ends in a NUL character")
+        return _fixed_width(texts)
 
-    # flags and outcomes are stripped only if they fail as read: float()
+    obs_ids = labels(schema.obs_id)
+    location_ids, sublocation_ids = labels(schema.location), labels(schema.sublocation)
+    if line is not None:
+        order = np.argsort(obs_ids, kind="stable")
+        repeat = np.zeros(n, dtype=bool)
+        repeat[order[1:]] = obs_ids[order[1:]] == obs_ids[order[:-1]]
+        check(repeat, lambda i: f"row {line[i]}: duplicate obs_id {obs_ids.item(i)!r}")
+
+    def flagged(strip: bool) -> tuple:
+        """Flag and outcome texts, stripped or as read, and their masks."""
+        flags, outcome_text = (text(c) if strip else fields[:, pos[c]]
+                               for c in (schema.selected, schema.outcome))
+        return flags, outcome_text, flags == "1", flags == "0", outcome_text != ""
+
+    flags, outcome_text, selected, unselected, has_outcome = flagged(line is not None)
+    # C-read flags and outcomes are taken as read unless they fail: float()
     # ignores the padding of an outcome, and a blank one fails to parse
-    outcome_text = fields[:, pos[schema.outcome]]
-    selected = flagged(fields[:, pos[schema.selected]], outcome_text)
-    if selected is None:
-        outcome_text = text(schema.outcome)
-        selected = flagged(text(schema.selected), outcome_text)
-        if selected is None:
-            return None
-    outcome = np.full(len(fields), np.nan)
-    try:
-        # the casts parse as float() does, which turns 1e400 into inf silently
-        with np.errstate(over="ignore"):
-            outcome[selected] = outcome_text[selected].astype(np.float64)
-            x, z, coords = (np.column_stack([fields[:, pos[c]].astype(np.float64) for c in names])
-                            if names else None for names in (x_cols, z_cols, coord_cols))
-        # obs_id uniqueness is left to the dataset's own check
-        return ClusteredDataset(
-            obs_ids=_fixed_width(text(schema.obs_id)),
-            location_ids=_fixed_width(text(schema.location)),
-            sublocation_ids=_fixed_width(text(schema.sublocation)),
-            selected=selected,
-            outcome=outcome,
-            x=x,
-            z=z,
-            coords=coords,
-            x_names=x_cols,
-            z_names=z_cols,
-        )
-    except ValueError:                   # a number float() refuses, or a ValidationError
-        return None
+    if line is None and not ((selected | unselected).all()
+                             and np.array_equal(selected, has_outcome)):
+        flags, outcome_text, selected, unselected, has_outcome = flagged(True)
+    check(~(selected | unselected), lambda i: (
+        f"row {line[i]}: column {schema.selected!r} must be 0 or 1, got {flags[i]!r}"))
+    check(selected & ~has_outcome, lambda i: (
+        f"row {line[i]}: selected observation {obs_ids.item(i)!r} has empty outcome"))
+    check(unselected & has_outcome, lambda i: (
+        f"row {line[i]}: non-selected observation {obs_ids.item(i)!r} carries an outcome"))
+
+    def numbers(name: str, texts: np.ndarray, rows=None) -> np.ndarray:
+        """Parse one column; `rows` masks the rows its texts come from
+        (default: every row). The cast parses as float() does, which turns
+        1e400 into inf silently."""
+        try:
+            with np.errstate(over="ignore"):
+                return texts.astype(np.float64)
+        except ValueError:
+            if line is None:
+                raise
+            texts = texts.tolist()
+            k = next(k for k, t in enumerate(texts) if not _parses(t))
+            i = k if rows is None else int(np.flatnonzero(rows)[k])
+            faults.append((i, len(faults),
+                           f"row {line[i]}: column {name!r} has unparseable value {texts[k]!r}"))
+            return np.zeros(len(texts))
+
+    def block(names: list) -> np.ndarray:
+        return np.column_stack([numbers(c, fields[:, pos[c]]) for c in names])
+
+    parsed = selected & has_outcome
+    outcome = np.full(n, np.nan)
+    outcome[parsed] = numbers(schema.outcome, outcome_text[parsed], parsed)
+    x, z = block(x_cols), block(z_cols)
+    coords = block(coord_cols) if coord_cols else None
+    if faults:
+        raise ValidationError(min(faults)[2])
+
+    return ClusteredDataset(obs_ids=obs_ids, location_ids=location_ids,
+                            sublocation_ids=sublocation_ids, selected=selected, outcome=outcome,
+                            x=x, z=z, coords=coords, x_names=x_cols, z_names=z_cols)
 
 
 def load_csv(path, schema: CsvSchema | None = None) -> ClusteredDataset:
@@ -340,126 +402,54 @@ def load_csv(path, schema: CsvSchema | None = None) -> ClusteredDataset:
     `schema` remaps any of them. A missing outcome is an empty field.
     Row numbers in error messages count the header as row 1.
 
-    numpy's C reader tokenizes the file, and the columns it returns are
-    checked and parsed as vectors. Input it cannot read as csv.reader would
-    (see `_c_fields`), a header with a quote, and any file that fails a
-    check are read again with csv.reader, one column at a time. Every
-    record check there is one vector mask over the rows; when several rows
-    fail, the error names the first of them, and within a row the first
-    failing check in this order: field count, an id or label ending in a
-    NUL character, duplicate obs_id, the 0/1 selection flag, outcome
-    present exactly when selected, then each number (outcome, x, z,
-    coordinates). Rows after a short row are not checked. A record the csv
-    module cannot read is refused before any row is checked.
+    numpy's C reader tokenizes the file. Input it cannot read as csv.reader
+    would (see `_c_fields`), a header with a quote, and any file that fails
+    a check are tokenized again by csv.reader, which only tokenizes and
+    numbers the rows. One set of record checks (`_dataset`) runs whichever
+    reader tokenized the file, each check one vector mask over the rows;
+    when several rows fail, the error names the first of them. A record the
+    csv module cannot read is refused before any row is checked.
     """
     schema = schema or CsvSchema()
-    fields = None
     with open(path, newline="", encoding="utf-8") as fh:
         first = fh.readline()
         # an empty file, or a quoted header, which may span lines, is left to csv.reader
         if first and '"' not in first and not _has_nul(path):
             layout = _layout(next(_records([first], path)), schema, path)
             fields = _c_fields(fh)
-    ds = None if fields is None else _from_fields(fields, schema, *layout)
-    return _load_rows(path, schema) if ds is None else ds
+            if fields is not None:
+                try:
+                    return _dataset(fields, layout, schema)
+                except ValueError:   # a fault: csv.reader reads again to name its row
+                    pass
+    return _load_rows(path, schema)
 
 
 def _load_rows(path, schema: CsvSchema) -> ClusteredDataset:
-    """`load_csv` through csv.reader, which words every fault."""
+    """`load_csv` through csv.reader, which only tokenizes: it drops blank
+    rows, ends the records at the first short row and numbers the rows for
+    `_dataset`'s messages."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _records(fh, path)
-        width, pos, x_cols, z_cols, coord_cols = _layout(next(reader, None), schema, path)
+        layout = _layout(next(reader, None), schema, path)
         rows = list(reader)
 
     rows, line = _filled(rows)
     line += 2   # the header is row 1
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-
-    # (row, check order, message), appended in check order; the least is raised
-    faults: list = []
-
-    def check(mask, message) -> None:
-        bad = np.flatnonzero(mask)
-        if bad.size:
-            faults.append((int(bad[0]), len(faults), message(int(bad[0]))))
-
-    n_fields = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    check(n_fields < width,
-          lambda i: f"row {line[i]}: expected {width} fields, got {n_fields[i]}")
-    if faults:
-        rows = rows[:faults[0][0]]   # rows past a short one are never reached
-    n = len(rows)
-    cols = list(zip(*rows)) or [()] * width
+    width = layout[0]
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    short = np.flatnonzero(counts < width)
+    if short.size:
+        # the short row ends the records, padded so that the array is
+        # rectangular; its count still refuses it
+        end = int(short[0]) + 1
+        rows, line, counts = rows[:end], line[:end], counts[:end]
+        rows[-1] = rows[-1] + [""] * width
+    fields = np.array([r[:width] for r in rows], dtype="T")
     del rows
-
-    def text(name: str) -> list:
-        return list(map(str.strip, cols[pos[name]]))
-
-    def labels(name: str) -> np.ndarray:
-        """A text column as a fixed-width str array. Those drop trailing NUL
-        characters, so a field that ends in one is refused."""
-        texts = text(name)
-        if "\x00" in "".join(texts):
-            check([t.endswith("\x00") for t in texts],
-                  lambda i: f"row {line[i]}: column {name!r} ends in a NUL character")
-        return np.array(texts, dtype=str)
-
-    obs_ids = labels(schema.obs_id)
-    location_ids, sublocation_ids = labels(schema.location), labels(schema.sublocation)
-    order = np.argsort(obs_ids, kind="stable")
-    repeat = np.zeros(n, dtype=bool)
-    repeat[order[1:]] = obs_ids[order[1:]] == obs_ids[order[:-1]]
-    check(repeat, lambda i: f"row {line[i]}: duplicate obs_id {obs_ids.item(i)!r}")
-
-    flags = text(schema.selected)
-    selected = np.fromiter(map("1".__eq__, flags), dtype=bool, count=n)
-    unselected = np.fromiter(map("0".__eq__, flags), dtype=bool, count=n)
-    check(~(selected | unselected), lambda i: (
-        f"row {line[i]}: column {schema.selected!r} must be 0 or 1, got {flags[i]!r}"))
-
-    outcome_text = text(schema.outcome)
-    has_outcome = np.fromiter(map(bool, outcome_text), dtype=bool, count=n)
-    check(selected & ~has_outcome, lambda i: (
-        f"row {line[i]}: selected observation {obs_ids.item(i)!r} has empty outcome"))
-    check(unselected & has_outcome, lambda i: (
-        f"row {line[i]}: non-selected observation {obs_ids.item(i)!r} carries an outcome"))
-
-    def numbers(name: str, texts, rows=None) -> np.ndarray:
-        """Parse one column; `rows` maps text positions to rows (default: same)."""
-        try:
-            return np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
-        except ValueError:
-            k = next(k for k, t in enumerate(texts) if not _parses(t))
-            i = k if rows is None else int(rows[k])
-            faults.append((i, len(faults),
-                           f"row {line[i]}: column {name!r} has unparseable value {texts[k]!r}"))
-            return np.zeros(len(texts))
-
-    def block(names: list) -> np.ndarray:
-        return np.column_stack([numbers(c, cols[pos[c]]) for c in names])
-
-    parsed = selected & has_outcome
-    outcome = np.full(n, np.nan)
-    outcome[parsed] = numbers(schema.outcome, list(itertools.compress(outcome_text, parsed)),
-                              np.flatnonzero(parsed))
-    x, z = block(x_cols), block(z_cols)
-    coords = block(coord_cols) if coord_cols else None
-    if faults:
-        raise ValidationError(min(faults)[2])
-
-    return ClusteredDataset(
-        obs_ids=obs_ids,
-        location_ids=location_ids,
-        sublocation_ids=sublocation_ids,
-        selected=selected,
-        outcome=outcome,
-        x=x,
-        z=z,
-        coords=coords,
-        x_names=x_cols,
-        z_names=z_cols,
-    )
+    return _dataset(fields, layout, schema, line, counts, _has_nul(path))
 
 
 def write_csv(ds: ClusteredDataset, path) -> None:
@@ -559,12 +549,6 @@ class NeighborhoodGraph:
     group_codes: np.ndarray | None = None
     indptr: np.ndarray | None = None
     indices: np.ndarray | None = None
-
-    def neighbors_of(self, i: int) -> set:
-        """The neighbor set of observation index i (self excluded)."""
-        if self.group_codes is not None:
-            return set(np.flatnonzero(self.group_codes == self.group_codes[i]).tolist()) - {i}
-        return set(self.indices[self.indptr[i]:self.indptr[i + 1]].tolist())
 
 
 def _graph_from_pairs(ds: ClusteredDataset, src: np.ndarray,

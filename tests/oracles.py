@@ -7,8 +7,9 @@ V1 = rho^2 D R D' and V2 = rho^2 D S z Vb z' S D' explicitly, and the
 inverse Mills ratio comes from scipy.stats.norm rather than the package's
 own kernels. `row_level_bootstrap` is the wild cluster bootstrap evaluated
 draw by draw over every differenced row, with a restricted refit at every
-null value (`row_level_p_at`). `loop_operator` builds a
-difference operator row by row from the graph's neighbor sets.
+null value (`row_level_p_at`). `neighbors_of` lists one observation's
+neighbors in a graph, and `loop_operator` builds a difference operator row
+by row from those sets.
 `row_loop_load_csv` reads a dataset CSV one row at a time and
 `row_loop_write_csv` writes one the same way. `loop_build_design` builds
 the probit design with one location comparison per dummy column.
@@ -29,12 +30,20 @@ from spatsel.numerics import mills_lambda_dee
 from spatsel.probit import DECREMENT_FLOOR, GRADIENT_TOL, MAX_ITERATIONS
 
 
+def neighbors_of(graph, i: int) -> set:
+    """The neighbor set of observation index i in a `NeighborhoodGraph`
+    (self excluded)."""
+    if graph.group_codes is not None:
+        return set(np.flatnonzero(graph.group_codes == graph.group_codes[i]).tolist()) - {i}
+    return set(graph.indices[graph.indptr[i]:graph.indptr[i + 1]].tolist())
+
+
 def loop_operator(graph, selected, kind, index_values=None, bandwidth=None,
                   kernel=None):
     """Reference CSR arrays (indptr, indices, data) of a difference operator.
 
     Each selected observation's partners are its selected neighbors from
-    `graph.neighbors_of` in its own location, in ascending column order.
+    `neighbors_of` in its own location, in ascending column order.
     pairwise: one +1/-1 row per partner above the anchor. fixed_effect: +1
     at the anchor and -1/N_d at each partner. kernel: +1 at the anchor and
     -K_k / sum(K) at each partner with K_k > 0, where
@@ -53,7 +62,7 @@ def loop_operator(graph, selected, kind, index_values=None, bandwidth=None,
         indptr.append(len(indices))
 
     for c, obs in enumerate(sel):
-        partners = sorted(col_of[k] for k in graph.neighbors_of(obs)
+        partners = sorted(col_of[k] for k in neighbors_of(graph, obs)
                           if k in col_of and loc[k] == loc[obs])
         if kind == "pairwise":
             for k in partners:

@@ -116,6 +116,16 @@ def test_fit_bootstrap_deterministic(data_csv, tmp_path):
     assert header == "name,estimate,se,t,p_boot,ci_low,ci_high,B,seed"
 
 
+def test_fit_calls_share_no_state(data_csv, tmp_path):
+    # the parser is built once per process; a second call must not see the first's flags
+    for out, boot in ((tmp_path / "boot", ["--boot", "99"]), (tmp_path / "plain", [])):
+        assert main(["fit", "--input", str(data_csv), *boot, "--out", str(out)]) == 0
+    assert cli._build_parser() is cli._build_parser()
+    assert "p_boot" in (tmp_path / "boot" / "fit_coefficients.csv").read_text()
+    header = (tmp_path / "plain" / "fit_coefficients.csv").read_text().splitlines()[0]
+    assert header == "name,estimate,se,t"
+
+
 @pytest.mark.parametrize("boot", ["0", "50", "-1"])
 def test_fit_boot_below_99_rejected(data_csv, tmp_path, capsys, boot):
     out = tmp_path / "o"
