@@ -10,12 +10,13 @@ integer code; `group_layout` and `group_pairs` lay groups out from codes.
 CSV ingestion is columnar too. numpy's C reader (`np.loadtxt` into
 StringDType) tokenizes a file once. csv.reader tokenizes only what the C
 reader refuses or could read differently (a whitespace-only line, a short
-or ragged row, a lone carriage return, any NUL, a quote in the header, a
-field longer than `csv.field_size_limit()`), and any file that fails a
-check, so that the error names the first faulty row; it only tokenizes and
-numbers the rows. One set of record checks (`_dataset`) then runs on the
-records whichever reader tokenized them, each check once as a vector, and
-number columns are cast to float64, which parses as float() does.
+or ragged row, a lone carriage return, any NUL, a header whose quoted name
+spans lines, a field longer than `csv.field_size_limit()`), and any file
+that fails a check, so that the error names the first faulty row; it only
+tokenizes and numbers the rows. One set of record checks (`_dataset`) then
+runs on the records whichever reader tokenized them, each check once as a
+vector, and number columns are cast to float64, which parses as float()
+does.
 Identifiers read from a file are fixed-width str arrays; `load_adjacency`
 returns its obs_id pairs as an (m, 2) str array, which the `edges` rule
 matches to rows with one sort and a binary search.
@@ -361,21 +362,18 @@ def _dataset(fields: np.ndarray, layout: tuple, schema: CsvSchema,
     check(unselected & has_outcome, lambda i: (
         f"row {line[i]}: non-selected observation {obs_ids.item(i)!r} carries an outcome"))
 
-    def numbers(name: str, texts: np.ndarray, rows=None) -> np.ndarray:
-        """Parse one column; `rows` masks the rows its texts come from
-        (default: every row). The cast parses as float() does, which turns
-        1e400 into inf silently."""
+    def numbers(name: str, col: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Parse the `rows` of one text column. The cast parses as float()
+        does, which turns 1e400 into inf silently."""
+        texts = col[rows]
         try:
             with np.errstate(over="ignore"):
                 return texts.astype(np.float64)
         except ValueError:
-            if line is None:
-                raise
-            texts = texts.tolist()
-            k = next(k for k, t in enumerate(texts) if not _parses(t))
-            i = k if rows is None else int(np.flatnonzero(rows)[k])
-            faults.append((i, len(faults),
-                           f"row {line[i]}: column {name!r} has unparseable value {texts[k]!r}"))
+            bad = np.zeros(n, dtype=bool)
+            bad[rows] = [not _parses(t) for t in texts.tolist()]
+            check(bad, lambda i: (
+                f"row {line[i]}: column {name!r} has unparseable value {col[i]!r}"))
             return np.zeros(len(texts))
 
     def block(names: list) -> np.ndarray:
@@ -383,7 +381,7 @@ def _dataset(fields: np.ndarray, layout: tuple, schema: CsvSchema,
 
     parsed = selected & has_outcome
     outcome = np.full(n, np.nan)
-    outcome[parsed] = numbers(schema.outcome, outcome_text[parsed], parsed)
+    outcome[parsed] = numbers(schema.outcome, outcome_text, parsed)
     x, z = block(x_cols), block(z_cols)
     coords = block(coord_cols) if coord_cols else None
     if faults:
@@ -403,32 +401,36 @@ def load_csv(path, schema: CsvSchema | None = None) -> ClusteredDataset:
     Row numbers in error messages count the header as row 1.
 
     numpy's C reader tokenizes the file. Input it cannot read as csv.reader
-    would (see `_c_fields`), a header with a quote, and any file that fails
-    a check are tokenized again by csv.reader, which only tokenizes and
-    numbers the rows. One set of record checks (`_dataset`) runs whichever
-    reader tokenized the file, each check one vector mask over the rows;
-    when several rows fail, the error names the first of them. A record the
-    csv module cannot read is refused before any row is checked.
+    would (see `_c_fields`), a header whose quoted name spans lines, and
+    any file that fails a check are tokenized again by csv.reader, which
+    only tokenizes and numbers the rows. One set of record checks
+    (`_dataset`) runs whichever reader tokenized the file, each check one
+    vector mask over the rows; when several rows fail, the error names the
+    first of them. A record the csv module cannot read is refused before
+    any row is checked.
     """
     schema = schema or CsvSchema()
+    nul = _has_nul(path)
     with open(path, newline="", encoding="utf-8") as fh:
         first = fh.readline()
-        # an empty file, or a quoted header, which may span lines, is left to csv.reader
-        if first and '"' not in first and not _has_nul(path):
-            layout = _layout(next(_records([first], path)), schema, path)
+        header = None if nul else next(_records([first], path), None)
+        # a header whose quotes stay open at the line break spans lines, and
+        # so is left to csv.reader, as are an empty file and a file with a NUL
+        if header and not header[-1].endswith(("\n", "\r")):
+            layout = _layout(header, schema, path)
             fields = _c_fields(fh)
             if fields is not None:
                 try:
                     return _dataset(fields, layout, schema)
                 except ValueError:   # a fault: csv.reader reads again to name its row
                     pass
-    return _load_rows(path, schema)
+    return _load_rows(path, schema, nul)
 
 
-def _load_rows(path, schema: CsvSchema) -> ClusteredDataset:
+def _load_rows(path, schema: CsvSchema, nul: bool) -> ClusteredDataset:
     """`load_csv` through csv.reader, which only tokenizes: it drops blank
     rows, ends the records at the first short row and numbers the rows for
-    `_dataset`'s messages."""
+    `_dataset`'s messages. `nul` tells whether the file holds a NUL."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _records(fh, path)
         layout = _layout(next(reader, None), schema, path)
@@ -447,9 +449,14 @@ def _load_rows(path, schema: CsvSchema) -> ClusteredDataset:
         end = int(short[0]) + 1
         rows, line, counts = rows[:end], line[:end], counts[:end]
         rows[-1] = rows[-1] + [""] * width
-    fields = np.array([r[:width] for r in rows], dtype="T")
+    if (counts != width).any():
+        rows = [r[:width] for r in rows]
+    # one flat pass of the fields builds the array ~3x faster than np.array
+    # does from the nested rows
+    fields = np.fromiter(itertools.chain.from_iterable(rows), dtype="T",
+                         count=len(rows) * width).reshape(len(rows), width)
     del rows
-    return _dataset(fields, layout, schema, line, counts, _has_nul(path))
+    return _dataset(fields, layout, schema, line, counts, nul)
 
 
 def write_csv(ds: ClusteredDataset, path) -> None:

@@ -473,6 +473,9 @@ LONG_FIELD = "9" * (csv.field_size_limit() + 1)
 @example(text=(CSV_HEADER + GOOD_ROWS).replace("\n", "\r\n"))
 @example(text=(CSV_HEADER + GOOD_ROWS).replace("\n", "\r"))
 @example(text='"obs_id",location,sublocation,selected,y2,x1,z1\n' + GOOD_ROWS)
+# the header's last name spans two lines, the second shaped like a record
+@example(text=CSV_HEADER.replace("\n", ',"h\n') + 'z,L1,S,1,1.5,0.5,2,h"\n'
+         + GOOD_ROWS.replace("\n", ",0\n"))
 @example(text=CSV_HEADER + GOOD_ROWS.replace("a,", "b,", 1))
 def test_load_csv_matches_row_loop(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("parity") / "d.csv"
@@ -480,7 +483,7 @@ def test_load_csv_matches_row_loop(tmp_path_factory, text):
     want, want_warnings = _outcome_of(row_loop_load_csv, path)
     # load_csv reads a clean file with numpy's C reader only, so the
     # csv.reader route is also run on every file directly
-    for loader in (load_csv, lambda p: dataset._load_rows(p, CsvSchema())):
+    for loader in (load_csv, lambda p: dataset._load_rows(p, CsvSchema(), dataset._has_nul(p))):
         got, got_warnings = _outcome_of(loader, path)
         assert got_warnings == want_warnings
         if isinstance(want, str) or isinstance(got, str):
@@ -535,6 +538,20 @@ def test_c_reader_floats_equal_float(tmp_path_factory, texts):
         coords = load_csv(path).coords
     want = np.array([[float(a), float(b)] for a, b in texts])
     assert coords.tobytes() == want.tobytes()
+
+
+def test_quoted_header_read_by_c_reader(tmp_path):
+    # R's write.csv quotes every header name; the csv.reader path is patched
+    # out, so numpy's C reader read the records after the quoted header
+    plain = load_csv(_write(tmp_path, CSV_6ROW))
+    path = tmp_path / "quoted.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(csv.reader(CSV_6ROW.splitlines()))
+    with mock.patch.object(dataset, "_load_rows", side_effect=AssertionError("csv.reader")):
+        quoted = load_csv(path)
+    for name in ("obs_ids", "location_ids", "sublocation_ids", "selected", "x", "z"):
+        assert np.array_equal(getattr(quoted, name), getattr(plain, name))
+    assert np.array_equal(quoted.outcome, plain.outcome, equal_nan=True)
 
 
 def test_label_ending_in_nul_refused(tmp_path):
