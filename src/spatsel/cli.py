@@ -26,7 +26,7 @@ from .dataset import CsvSchema, build_neighborhoods, load_adjacency, load_csv
 from .differencing import KERNELS, fixed_effect_operator, kernel_operator, pairwise_operator
 from .estimator import _first_stage, _second_step, report_text, write_coefficients_csv
 from .exceptions import EstimationError, ValidationError
-from .inference import MIN_REPLICATIONS, wild_cluster_bootstrap
+from .inference import ALPHA, MIN_REPLICATIONS, wild_cluster_bootstrap
 from .montecarlo import GridConfig, parse_int_list, run_tables
 from .probit import ProbitSpec, fit_probit
 
@@ -186,10 +186,12 @@ def _cmd_fit(args) -> int:
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report_text(fit, extra))
         if boot_rows:
-            fh.write("\nwild cluster bootstrap (null = 0)\n")
-            fh.write(f"{'name':<16}{'p_boot':>10}{'ci_low':>14}{'ci_high':>14}\n")
+            fh.write("\nwild cluster bootstrap (null = 0; * another kept piece holds the null)\n")
+            fh.write(f"{'name':<16}{'p_boot':>10}{'ci_low':>14}{'ci_high':>14}{'pieces':>8}\n")
             for name, b in boot_rows.items():
-                fh.write(f"{name:<16}{b.p_value:>10.4g}{b.ci_low:>14.6g}{b.ci_high:>14.6g}\n")
+                mark = "*" * (b.p_value >= ALPHA and not b.ci_low <= 0.0 <= b.ci_high)
+                fh.write(f"{name:<16}{b.p_value:>10.4g}{b.ci_low:>14.6g}{b.ci_high:>14.6g}"
+                         f"{f'{b.pieces}{mark}':>8}\n")
     print(f"wrote {csv_path}")
     print(f"wrote {report_path}")
     return EXIT_OK

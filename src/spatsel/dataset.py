@@ -283,25 +283,21 @@ def _fixed_width(texts: np.ndarray) -> np.ndarray:
     return texts.astype(f"U{max(int(np.strings.str_len(texts).max(initial=0)), 1)}")
 
 
-def _dataset(fields: np.ndarray, layout: tuple, schema: CsvSchema,
-             line: np.ndarray | None = None, counts: np.ndarray | None = None,
-             nul: bool = False) -> ClusteredDataset:
+def _dataset(fields: np.ndarray, layout: tuple, schema: CsvSchema, line: np.ndarray,
+             counts: np.ndarray | None = None, nul: bool = False) -> ClusteredDataset:
     """The dataset in a 2-D StringDType array of records, whichever reader
     tokenized them, after every record check.
 
-    `layout` is what `_layout` returns. With `line`, the records' row numbers
-    in the file, a fault raises a ValidationError naming the first faulty
-    row and, within it, the first failing check in this order: field count,
-    an id or label ending in a NUL, duplicate obs_id, the 0/1 flag, outcome
+    `layout` is what `_layout` returns and `line` the records' row numbers in
+    the file. A fault raises a ValidationError naming the first faulty row
+    and, within it, the first failing check in this order: field count, an
+    id or label ending in a NUL, duplicate obs_id, the 0/1 flag, outcome
     present exactly when selected, then each number (outcome, x, z,
     coordinates). Rows after a short row are not checked. `counts` holds
     each record's field count (default: the array's width). `nul` marks text
     with a NUL, which `np.strings` drops from a string's end, so that text
-    is stripped in Python.
-
-    Without `line` (numpy's C reader), a fault raises a bare ValueError,
-    obs_id uniqueness is left to the dataset's own check, and flags and
-    outcomes are stripped only if they fail as read.
+    is stripped in Python. Flags and outcomes are taken as read, and
+    stripped only when they fail as read.
     """
     width, pos, x_cols, z_cols, coord_cols = layout
     # (row, check order, message), appended in check order; the least is raised
@@ -310,14 +306,14 @@ def _dataset(fields: np.ndarray, layout: tuple, schema: CsvSchema,
     def check(mask, message) -> None:
         bad = np.flatnonzero(mask)
         if bad.size:
-            if line is None:
-                raise ValueError("a record check failed")
             faults.append((int(bad[0]), len(faults), message(int(bad[0]))))
 
     counts = np.broadcast_to(fields.shape[1], len(fields)) if counts is None else counts
     check(counts < width, lambda i: f"row {line[i]}: expected {width} fields, got {counts[i]}")
     if faults:
         fields = fields[:faults[0][0]]   # rows past a short one are never reached
+        if not len(fields):
+            raise ValidationError(faults[0][2])
     n = len(fields)
 
     def text(name: str) -> np.ndarray:
@@ -337,24 +333,23 @@ def _dataset(fields: np.ndarray, layout: tuple, schema: CsvSchema,
 
     obs_ids = labels(schema.obs_id)
     location_ids, sublocation_ids = labels(schema.location), labels(schema.sublocation)
-    if line is not None:
-        order = np.argsort(obs_ids, kind="stable")
-        repeat = np.zeros(n, dtype=bool)
-        repeat[order[1:]] = obs_ids[order[1:]] == obs_ids[order[:-1]]
-        check(repeat, lambda i: f"row {line[i]}: duplicate obs_id {obs_ids.item(i)!r}")
+    order = np.argsort(obs_ids, kind="stable")
+    repeat = np.zeros(n, dtype=bool)
+    repeat[order[1:]] = obs_ids[order[1:]] == obs_ids[order[:-1]]
+    check(repeat, lambda i: f"row {line[i]}: duplicate obs_id {obs_ids.item(i)!r}")
 
-    def flagged(strip: bool) -> tuple:
-        """Flag and outcome texts, stripped or as read, and their masks."""
-        flags, outcome_text = (text(c) if strip else fields[:, pos[c]]
-                               for c in (schema.selected, schema.outcome))
-        return flags, outcome_text, flags == "1", flags == "0", outcome_text != ""
-
-    flags, outcome_text, selected, unselected, has_outcome = flagged(line is not None)
-    # C-read flags and outcomes are taken as read unless they fail: float()
+    # flags and outcomes as read, stripped only if they fail as read: float()
     # ignores the padding of an outcome, and a blank one fails to parse
-    if line is None and not ((selected | unselected).all()
-                             and np.array_equal(selected, has_outcome)):
-        flags, outcome_text, selected, unselected, has_outcome = flagged(True)
+    flags, outcome_text = fields[:, pos[schema.selected]], fields[:, pos[schema.outcome]]
+    outcome = np.full(n, np.nan)
+    try:
+        if not (np.isin(flags, ["0", "1"]).all() and np.array_equal(flags == "1", outcome_text != "")):
+            raise ValueError("a flag or outcome fails as read")
+        with np.errstate(over="ignore"):
+            outcome[flags == "1"] = outcome_text[flags == "1"].astype(np.float64)
+    except ValueError:
+        flags, outcome_text, outcome = text(schema.selected), text(schema.outcome), None
+    selected, unselected, has_outcome = flags == "1", flags == "0", outcome_text != ""
     check(~(selected | unselected), lambda i: (
         f"row {line[i]}: column {schema.selected!r} must be 0 or 1, got {flags[i]!r}"))
     check(selected & ~has_outcome, lambda i: (
@@ -379,9 +374,10 @@ def _dataset(fields: np.ndarray, layout: tuple, schema: CsvSchema,
     def block(names: list) -> np.ndarray:
         return np.column_stack([numbers(c, fields[:, pos[c]]) for c in names])
 
-    parsed = selected & has_outcome
-    outcome = np.full(n, np.nan)
-    outcome[parsed] = numbers(schema.outcome, outcome_text, parsed)
+    if outcome is None:
+        parsed = selected & has_outcome
+        outcome = np.full(n, np.nan)
+        outcome[parsed] = numbers(schema.outcome, outcome_text, parsed)
     x, z = block(x_cols), block(z_cols)
     coords = block(coord_cols) if coord_cols else None
     if faults:
@@ -400,13 +396,14 @@ def load_csv(path, schema: CsvSchema | None = None) -> ClusteredDataset:
     `schema` remaps any of them. A missing outcome is an empty field.
     Row numbers in error messages count the header as row 1.
 
-    numpy's C reader tokenizes the file. Input it cannot read as csv.reader
-    would (see `_c_fields`), a header whose quoted name spans lines, and
-    any file that fails a check are tokenized again by csv.reader, which
-    only tokenizes and numbers the rows. One set of record checks
-    (`_dataset`) runs whichever reader tokenized the file, each check one
-    vector mask over the rows; when several rows fail, the error names the
-    first of them. A record the csv module cannot read is refused before
+    numpy's C reader tokenizes the file; csv.reader, which only tokenizes
+    and numbers the rows, reads input the C reader cannot read as it would
+    (see `_c_fields`), a header whose quoted name spans lines, and a file
+    that fails a check with more lines than records (the C reader skips
+    empty lines), whose C-read record i need not be row i + 2. One set of
+    record checks (`_dataset`) runs whichever reader tokenized the file,
+    each check one vector mask over the rows; when several rows fail, the
+    error names the first of them. A record the csv module cannot read is refused before
     any row is checked.
     """
     schema = schema or CsvSchema()
@@ -421,10 +418,21 @@ def load_csv(path, schema: CsvSchema | None = None) -> ClusteredDataset:
             fields = _c_fields(fh)
             if fields is not None:
                 try:
-                    return _dataset(fields, layout, schema)
-                except ValueError:   # a fault: csv.reader reads again to name its row
-                    pass
+                    return _dataset(fields, layout, schema, np.arange(len(fields)) + 2)
+                except ValidationError:
+                    if _lines(path) == len(fields) + 1:
+                        raise
+                    # csv.reader reads again to name the faulty row
     return _load_rows(path, schema, nul)
+
+
+def _lines(path) -> int:
+    """The number of lines in a file, a last line without a newline included."""
+    count, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        for chunk in iter(partial(fh.read, 1 << 20), b""):
+            count, last = count + chunk.count(b"\n"), chunk[-1:]
+    return count + (last != b"\n")
 
 
 def _load_rows(path, schema: CsvSchema, nul: bool) -> ClusteredDataset:

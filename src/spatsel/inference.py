@@ -14,16 +14,17 @@ residuals and C_g the sum of P[:, r] e[r] over the rows r of cluster g.
 The restricted fit is linear in the null value t, so theta_r = a + t b,
 e = r0 - t r1 and C_g = C0_g - t C1_g. One pass over the M differenced rows
 per coefficient forms the draws' two affine parts for the tested and the
-mills coefficient (B x 2 each); after that a p-value at any null value,
-and so each step of the interval search, costs O(B). The per-draw t uses
-the corrected covariance, which for a fixed first stage scales with the
-draw's squared mills coefficient; its scale-free part is computed once.
+mills coefficient (B x 2 each). Whether a draw's |t*| reaches |t_obs| at
+null t is then the sign of a product of two quadratics in t, so one sort
+of their real roots gives p(t) at every t, and the interval, exactly. The
+per-draw t uses the corrected covariance, which for a fixed first stage
+scales with the draw's squared mills coefficient; its scale-free part is
+computed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,12 +36,12 @@ from .exceptions import ValidationError
 # fewest bootstrap replications a sampled (not enumerated) test accepts
 MIN_REPLICATIONS = 99
 
+# a null value stays in the interval when its p-value is at least ALPHA.
+# p and ALPHA are the doubles nearest two fractions with small denominators,
+# so p < ALPHA orders them as the fractions do: 20/400 is kept
+ALPHA = 0.05
 # relative shortfall of |t*| below |t_obs| still counted as a tie
 _TIE_SLACK = 1e-12
-# an interval end is searched at this many constant steps from the
-# estimate, then at this many more steps that double each time
-_CONSTANT_WIDENINGS = 6
-_DOUBLING_WIDENINGS = 10
 
 
 @dataclass
@@ -54,24 +55,7 @@ class BootstrapResult:
     ci_high: float | None
     replications: int
     seed: int
-
-
-def _row_clusters(op: DifferenceOperator | None, ds: ClusteredDataset) -> np.ndarray:
-    """Location code of each differenced row (rows never mix locations)."""
-    rows = ds.selected_indices() if op is None else op.selected_indices[op.anchor]
-    return ds.location_codes[rows]
-
-
-def _t_for_draws(draws: np.ndarray, null_value: float, k_cc: float) -> np.ndarray:
-    """t statistics for bootstrap draws of (tested, mills) coefficients, one
-    draw per row."""
-    num = draws[:, 0] - null_value
-    se = np.abs(draws[:, 1]) * np.sqrt(k_cc)
-    # a zero se gives +-inf, or 0 where the numerator is 0 too
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = num / se
-    t[np.isnan(t)] = 0.0
-    return t
+    pieces: int | None = None   # intervals that make up {null : p >= ALPHA}
 
 
 def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
@@ -79,8 +63,7 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
                            null_value: float = 0.0, B: int = 999,
                            seed: int = 0, *,
                            full_enumeration: bool = False,
-                           compute_ci: bool = False,
-                           ci_level: float = 0.95) -> BootstrapResult:
+                           compute_ci: bool = False) -> BootstrapResult:
     """Restricted wild cluster bootstrap p-value (and optional interval).
 
     Rademacher signs are drawn once per location per replication; all
@@ -96,10 +79,11 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
     (the se is |mills coefficient| * sqrt(k_cc)), so that p-value is 1
     by construction instead of a share decided by rounding.
 
-    With `compute_ci` the interval holds every null value whose p-value is
-    at least 1 - ci_level, and a null is rejected when its p-value is
-    strictly below it: at B = 399 and ci_level 0.95 a p-value of 20/400 is
-    kept.
+    With `compute_ci`, (ci_low, ci_high) is the piece of {null : p >= ALPHA}
+    that holds the estimate, -inf or inf where it is unbounded (20/400 is
+    kept). p is not monotone in the null, and `pieces` counts all the
+    pieces of the set. With a zero se (mills coefficient exactly 0) the
+    interval is the estimate alone.
     """
     if B < MIN_REPLICATIONS and not full_enumeration:
         raise ValidationError(f"B must be at least {MIN_REPLICATIONS}")
@@ -107,8 +91,9 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
         raise ValidationError(f"unknown coefficient {coef!r}; have {fit.names}")
     col = fit.names.index(coef)
 
-    clusters = _row_clusters(op, ds)
-    uniq, cluster_idx = np.unique(clusters, return_inverse=True)
+    # the location of each differenced row (rows never mix locations)
+    rows = ds.selected_indices() if op is None else op.selected_indices[op.anchor]
+    uniq, cluster_idx = np.unique(ds.location_codes[rows], return_inverse=True)
     n_clusters = len(uniq)
     if n_clusters < 2:
         raise ValidationError("need at least 2 locations to cluster on")
@@ -126,10 +111,8 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
     # variant the fit itself reports
     se_obs = float(abs(fit.rho) * np.sqrt(k_cc))
     theta_obs = float(fit.theta[col])
-    if se_obs > 0:
-        t_obs = (theta_obs - null_value) / se_obs
-    else:
-        t_obs = 0.0 if theta_obs == null_value else np.inf
+    t_obs = ((theta_obs - null_value) / se_obs if se_obs > 0
+             else 0.0 if theta_obs == null_value else np.inf)
 
     if full_enumeration:
         if n_clusters > 20:
@@ -163,75 +146,81 @@ def wild_cluster_bootstrap(fit: TwoStepFit, op: DifferenceOperator | None,
     draws0 = a[kept] + signs @ scores(r0).T
     draws1 = b[kept] - signs @ scores(r1).T
 
-    tol = 1e-12 * max(1.0, float(np.abs(y).max()) if len(y) else 0.0)
-    # every residual is within tol only if the one with the largest |r1| is,
-    # so that row screens each null before a pass over all M rows
-    pivot = int(np.argmax(np.abs(r1)))
+    def share(count):
+        """The p-value of an exceedance count."""
+        return count / reps if full_enumeration else (1 + count) / (1 + reps)
 
-    def p_at(null: float) -> float:
-        t_ref = (theta_obs - null) / se_obs if se_obs > 0 else t_obs
-        if (abs(r0[pivot] - null * r1[pivot]) <= tol
-                and np.abs(r0 - null * r1).max() <= tol):
-            # degenerate: every draw reproduces the observed statistic
-            return 1.0
-        t_star = _t_for_draws(draws0 + null * draws1, null, k_cc)
-        count = int(np.sum(np.abs(t_star) >= abs(t_ref) * (1.0 - _TIE_SLACK)))
-        if full_enumeration:
-            return count / reps
-        return (1 + count) / (1 + reps)
+    if np.abs(r0 - null_value * r1).max() <= 1e-12 * max(1.0, float(np.abs(y).max())):
+        count = reps   # degenerate: every draw reproduces the observed statistic
+    else:
+        here = draws0 + null_value * draws1
+        # a zero se gives +-inf, or 0 where the numerator is 0 too
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_star = (here[:, 0] - null_value) / (np.abs(here[:, 1]) * np.sqrt(k_cc))
+        t_star[np.isnan(t_star)] = 0.0
+        count = int(np.sum(np.abs(t_star) >= abs(t_obs) * (1.0 - _TIE_SLACK)))
 
-    p_value = p_at(null_value)
-
-    ci_low = ci_high = None
-    if compute_ci:
-        # the level's complement as the decimal it is written in (1.0 - 0.95
-        # is 0.050000000000000044, which would reject a p-value of exactly
-        # 0.05); p and alpha are then the doubles nearest two fractions with
-        # small denominators, so p < alpha orders them as the fractions do
-        alpha = float(1 - Fraction(str(ci_level)))
-        half = 6.0 * se_obs if se_obs > 0 else max(1.0, abs(theta_obs))
-        lo_bracket = (theta_obs - half, theta_obs)
-        hi_bracket = (theta_obs, theta_obs + half)
-        rejected = null_value if p_value < alpha else None
-        ci_low = _invert(p_at, lo_bracket, alpha, -half, rejected)
-        ci_high = _invert(p_at, hi_bracket, alpha, half, rejected)
-
+    ci_low = ci_high = pieces = None
+    if compute_ci and se_obs > 0:
+        ci_low, ci_high, pieces = _kept_set(draws0, draws1, theta_obs, se_obs,
+                                            np.sqrt(k_cc) * (1.0 - _TIE_SLACK), share)
+    elif compute_ci:   # |t_obs| is infinite at every null but the estimate
+        ci_low, ci_high, pieces = theta_obs, theta_obs, 1
     return BootstrapResult(
-        coefficient=coef, t_observed=t_obs, p_value=p_value,
-        ci_low=ci_low, ci_high=ci_high, replications=reps, seed=seed,
+        coefficient=coef, t_observed=t_obs, p_value=share(count),
+        ci_low=ci_low, ci_high=ci_high, replications=reps, seed=seed, pieces=pieces,
     )
 
 
-def _invert(p_at, bracket: tuple[float, float], alpha: float, widen: float,
-            rejected: float | None = None, tol: float = 1e-4) -> float:
-    """Bisect for the null value where the bootstrap p-value crosses alpha.
+def _kept_set(draws0: np.ndarray, draws1: np.ndarray, theta_obs: float, se_obs: float,
+              c: float, share) -> tuple[float, float, int]:
+    """(low, high, pieces): the ends of the piece of {t : p(t) >= ALPHA}
+    that holds theta_obs, and the number of pieces. `share` turns an
+    exceedance count into its p-value.
 
-    The outer end moves by `widen` for the first `_CONSTANT_WIDENINGS`
-    steps, then by steps that double. If p stays >= alpha through all of
-    them, `rejected` (a null value with p < alpha, if any) closes the
-    bracket when it lies on this side; otherwise the end was never
-    bracketed and is -inf or +inf.
+    At t = theta_obs + s a draw's n = theta* - t and mills coefficient m are
+    affine in s, and it exceeds when se_obs |n| >= c |s m|, that is when
+    f+(s) f-(s) >= 0 for the quadratics f+-(s) = se_obs n(s) +- c s m(s).
+    Every draw exceeds beside s = 0, where f+ = f- = se_obs n, and flips at
+    each real root of f+ or f-; on each side one sort of the roots and a
+    cumulative sum of +-1 flips give the count on every gap between roots.
     """
-    inner, outer = (bracket[1], bracket[0]) if widen < 0 else (bracket[0], bracket[1])
-    step = widen
-    for i in range(_CONSTANT_WIDENINGS + _DOUBLING_WIDENINGS):
-        if p_at(outer) < alpha:
-            break
-        if i >= _CONSTANT_WIDENINGS:
-            step *= 2
-        outer += step
-    else:
-        if rejected is None or (rejected - inner) * widen <= 0:
-            return -np.inf if widen < 0 else np.inf
-        outer = rejected
-    lo, hi = (outer, inner) if widen < 0 else (inner, outer)
-    # p >= alpha at the inner end, < alpha at the outer end
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < tol * (1 + abs(mid)):
-            break
-        if (p_at(mid) >= alpha) == (widen > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    at_hat = draws0 + theta_obs * draws1
+    n0, m0 = at_hat[:, 0] - theta_obs, at_hat[:, 1]
+    n1, m1 = draws1[:, 0] - 1.0, draws1[:, 1]
+    const = se_obs * n0
+    roots = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for sign in (1.0, -1.0):
+            a, b = sign * c * m1, se_obs * n1 + sign * c * m0
+            # the stable pair of roots, each polished by one Newton step; no
+            # real root, or none at all when a = 0, comes out non-finite
+            q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * const), b))
+            for r in (q / a, const / q):
+                step = ((a * r + b) * r + const) / (2.0 * a * r + b)
+                roots.append(np.where(np.isfinite(step), r - step, r))
+    roots = np.column_stack(roots)
+    # where n0 is 0 so are f+ and f- at 0, and beside 0 their product has
+    # the sign of their slopes' product
+    exceeds = (n0 != 0) | ((se_obs * n1) ** 2 >= (c * m0) ** 2)
+
+    def reach(side: float) -> tuple[float, np.ndarray]:
+        """How far the piece reaches on one side, and whether each gap
+        between roots there, nearest first, is kept."""
+        dist = np.sort(np.where(side * roots > 0, side * roots, np.inf), axis=1)
+        found = np.isfinite(dist)
+        # a draw that exceeds before its j-th root stops there when j is even
+        stops = exceeds[:, None] ^ (np.arange(roots.shape[1]) % 2 == 1)
+        start = dist[found]
+        order = np.argsort(start)
+        start = start[order]
+        count = np.count_nonzero(exceeds) + np.cumsum(np.where(stops[found], -1, 1)[order])
+        wide = np.append(start[1:] > start[:-1], True)   # roots at one point: no gap
+        kept = share(count[wide]) >= ALPHA
+        fails = np.flatnonzero(~kept)
+        return (float(start[wide][fails[0]]) if fails.size else np.inf), kept
+
+    (low, left), (high, right) = reach(-1.0), reach(1.0)
+    verdicts = np.concatenate([left[::-1], [True], right])
+    pieces = int(verdicts[0]) + int(np.count_nonzero(verdicts[1:] > verdicts[:-1]))
+    return theta_obs - low, theta_obs + high, pieces

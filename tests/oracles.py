@@ -18,7 +18,6 @@ index and signs it again for the score and for the log-likelihood.
 """
 
 import csv
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -258,16 +257,12 @@ def _restricted(x: np.ndarray, y: np.ndarray, col: int, null_value: float):
     return theta_rest, fitted, y - fitted
 
 
-def row_level_p_at(fit, op, ds, coef, B=999, seed=0, *, full_enumeration=False):
-    """Reference bootstrap p-value as a function of the null value.
-
-    Each null value gets its own restricted refit (`_restricted`), and
-    every draw rebuilds the synthetic outcome y* = fitted + w * resid over
-    all M differenced rows and projects it, theta* = (X'X)^-1 X' y*, so a
-    null value costs a draws x M array. The studentising scale, the tie
-    slack and the degenerate-residual rule are the package's. Returns
-    (p_at, theta_obs, se_obs).
-    """
+def _row_level_draws(fit, op, ds, coef, B, seed, full_enumeration):
+    """(draws_at, theta_obs, se_obs, k_cc). `draws_at(null)` refits the
+    restricted model at the null (`_restricted`), rebuilds every draw's
+    synthetic outcome y* = fitted + w * resid over all M differenced rows and
+    projects it, theta* = (X'X)^-1 X' y*, returning each draw's tested and
+    mills coefficient, or None where the restricted residuals vanish."""
     from spatsel.estimator import _sandwich
 
     col = fit.names.index(coef)
@@ -288,43 +283,82 @@ def row_level_p_at(fit, op, ds, coef, B=999, seed=0, *, full_enumeration=False):
     else:
         signs = np.random.default_rng(seed).integers(0, 2, size=(B, n_clusters)) * 2.0 - 1.0
 
-    def p_at(null):
-        t_ref = (theta_obs - null) / se_obs
+    def draws_at(null):
         _, fitted, resid = _restricted(x, y, col, null)
         if np.abs(resid).max() <= 1e-12 * max(1.0, float(np.abs(y).max())):
-            return 1.0
+            return None
         theta = (fitted[None, :] + signs[:, cluster_idx] * resid[None, :]) @ proj.T
-        num = theta[:, col] - null
-        se = np.abs(theta[:, -1]) * np.sqrt(k_cc)
+        return theta[:, col], theta[:, -1]
+
+    return draws_at, theta_obs, se_obs, k_cc
+
+
+def row_level_p_at(fit, op, ds, coef, B=999, seed=0, *, full_enumeration=False):
+    """Reference bootstrap p-value as a function of the null value.
+
+    Each null value gets its own restricted refit and row-level draws
+    (`_row_level_draws`), so a null value costs a draws x M array. The
+    studentising scale, the tie slack and the degenerate-residual rule are
+    the package's. Returns (p_at, theta_obs, se_obs).
+    """
+    draws_at, theta_obs, se_obs, k_cc = _row_level_draws(fit, op, ds, coef, B, seed,
+                                                         full_enumeration)
+
+    def p_at(null):
+        t_ref = (theta_obs - null) / se_obs
+        draws = draws_at(null)
+        if draws is None:
+            return 1.0
+        num = draws[0] - null
+        se = np.abs(draws[1]) * np.sqrt(k_cc)
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(se > 0, num / se, np.where(num != 0, np.inf * np.sign(num), 0.0))
         count = int(np.sum(np.abs(t) >= abs(t_ref) * (1.0 - 1e-12)))
         if full_enumeration:
-            return count / len(signs)
-        return (1 + count) / (1 + len(signs))
+            return count / len(num)
+        return (1 + count) / (1 + len(num))
 
     return p_at, theta_obs, se_obs
 
 
 def row_level_bootstrap(fit, op, ds, coef, null_value=0.0, B=999, seed=0, *,
-                        full_enumeration=False, ci_level=0.95):
+                        full_enumeration=False):
     """Reference wild cluster bootstrap: (p_value, ci_low, ci_high).
 
-    The p-values are `row_level_p_at`'s and the interval search is the
-    package's own, so a difference from `wild_cluster_bootstrap` can only
-    come from how the restricted fit and theta* are formed.
+    The p-value is `row_level_p_at`'s. The interval ends come from the
+    row-level draws by another route than the package's: at null
+    t = theta_obs + u * se_obs a draw exceeds when the quartic
+    se_obs^2 n^2 - c^2 (u se_obs)^2 m^2 >= 0 (n = theta* - t, m the draw's
+    mills coefficient, c = sqrt(k_cc) (1 - 1e-12)). Each draw's quartic is
+    fitted through row-level refits at 9 nulls (np.polyfit) and solved as a
+    companion-matrix eigenproblem (np.roots). Between consecutive real roots
+    the count is the number of quartics >= 0 at the midpoint, and the ends
+    are the roots that bound the gaps around u = 0 where the p-value stays
+    at least 0.05.
     """
-    from spatsel.inference import _invert
-
-    p_at, theta_obs, se_obs = row_level_p_at(fit, op, ds, coef, B, seed,
-                                             full_enumeration=full_enumeration)
-    alpha = float(1 - Fraction(str(ci_level)))
-    half = 6.0 * se_obs
-    p_value = p_at(null_value)
-    rejected = null_value if p_value < alpha else None
-    return (p_value,
-            _invert(p_at, (theta_obs - half, theta_obs), alpha, -half, rejected),
-            _invert(p_at, (theta_obs, theta_obs + half), alpha, half, rejected))
+    draws_at, theta_obs, se_obs, k_cc = _row_level_draws(fit, op, ds, coef, B, seed,
+                                                         full_enumeration)
+    p_at, _, _ = row_level_p_at(fit, op, ds, coef, B, seed, full_enumeration=full_enumeration)
+    c = np.sqrt(k_cc) * (1.0 - 1e-12)
+    u = np.linspace(-4.0, 4.0, 9)
+    values = []
+    for ui in u:
+        null = theta_obs + ui * se_obs
+        tested, mills = draws_at(null)
+        values.append((tested - null) ** 2 - (c * ui * mills) ** 2)
+    quartics = np.polyfit(u, np.array(values), 4)           # 5 x draws
+    roots = np.concatenate([r.real[r.imag == 0] for r in map(np.roots, quartics.T)])
+    roots = np.unique(roots[np.isfinite(roots)])
+    mids = np.concatenate([[roots[0] - 1.0], 0.5 * (roots[1:] + roots[:-1]), [roots[-1] + 1.0]])
+    counts = (np.polynomial.polynomial.polyval(mids, quartics[::-1], tensor=True) >= 0).sum(axis=0)
+    draws = quartics.shape[1]
+    p = counts / draws if full_enumeration else (1 + counts) / (1 + draws)
+    here = int(np.searchsorted(roots, 0.0))                 # the gap that holds u = 0
+    below = np.flatnonzero(p[:here] < 0.05)
+    above = here + 1 + np.flatnonzero(p[here + 1:] < 0.05)
+    low = roots[below[-1]] if below.size else -np.inf
+    high = roots[above[0] - 1] if above.size else np.inf
+    return (p_at(null_value), float(theta_obs + low * se_obs), float(theta_obs + high * se_obs))
 
 
 def _parse_float(text: str, row: int, col: str) -> float:

@@ -477,6 +477,11 @@ LONG_FIELD = "9" * (csv.field_size_limit() + 1)
 @example(text=CSV_HEADER.replace("\n", ',"h\n') + 'z,L1,S,1,1.5,0.5,2,h"\n'
          + GOOD_ROWS.replace("\n", ",0\n"))
 @example(text=CSV_HEADER + GOOD_ROWS.replace("a,", "b,", 1))
+# faulty files with more lines than records: the C reader skips an empty
+# line and lets a quoted field span lines, so csv.reader numbers the rows
+@example(text=CSV_HEADER + GOOD_ROWS + "\nc,L1,S,2,,0,0\n")
+@example(text=CSV_HEADER + '"a\n",L1,S,1,1.5,0.5,2\n' + GOOD_ROWS[GOOD_ROWS.index("b"):]
+         + "c,L1,S,1,oops,0,0\n")
 def test_load_csv_matches_row_loop(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("parity") / "d.csv"
     path.write_text(text, encoding="utf-8")
@@ -538,6 +543,17 @@ def test_c_reader_floats_equal_float(tmp_path_factory, texts):
         coords = load_csv(path).coords
     want = np.array([[float(a), float(b)] for a, b in texts])
     assert coords.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("end", ["\n", ""])
+def test_fault_in_one_line_per_record_file_named_by_c_reader(tmp_path, end):
+    # every record is one line, so the C reader's i-th record is row i + 2;
+    # the csv.reader path is patched out, so it never read the file again
+    path = _write(tmp_path, CSV_6ROW.replace("d,L2,S1,1,", "d,L2,S1,2,").rstrip("\n") + end)
+    with (mock.patch.object(dataset, "_load_rows", side_effect=AssertionError("csv.reader")),
+          pytest.raises(ValidationError,
+                        match=r"^row 5: column 'selected' must be 0 or 1, got '2'$")):
+        load_csv(path)
 
 
 def test_quoted_header_read_by_c_reader(tmp_path):

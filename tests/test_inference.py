@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from spatsel.dataset import ClusteredDataset, build_neighborhoods
 from spatsel.differencing import fixed_effect_operator, pairwise_operator
 from spatsel.estimator import heckman_classic, two_step_fit
 from spatsel.exceptions import ValidationError
-from spatsel.inference import _invert, wild_cluster_bootstrap
+from spatsel.inference import ALPHA, wild_cluster_bootstrap
 from spatsel.montecarlo import SimCell, generate_sample
 from spatsel.probit import fit_probit
 
@@ -168,8 +170,7 @@ def test_ci_test_inversion_contains_estimate():
                                  seed=3, compute_ci=True)
     assert res.ci_low is not None and res.ci_high is not None
     assert res.ci_low < fit.theta[i] < res.ci_high
-    # on this input p stays above 0.05 through the six constant widenings
-    # below the estimate; a doubling widening then brackets that end
+    # on this input the piece that holds the estimate is bounded on both sides
     assert np.isfinite(res.ci_low) and np.isfinite(res.ci_high)
     for end in (res.ci_low, res.ci_high):
         inner = wild_cluster_bootstrap(fit, op, ds, "x1",
@@ -179,18 +180,21 @@ def test_ci_test_inversion_contains_estimate():
 
 
 def test_ci_keeps_null_whose_p_equals_alpha():
-    # p_boot is exactly 20/400 = 0.05 at nulls -33.25 to -35 on this input;
-    # those nulls stay inside the 95% interval, so its lower end lies past -35
+    # p_boot is exactly 20/400 = 0.05 from null -33.25 down to the lower end
+    # at -34.3986 on this input; those nulls stay inside the 95% interval,
+    # and p drops to 19/400 just past the end
     ds, op, fit = fitted_cell(J=10, s=2, n=4, seed=6)
     res = wild_cluster_bootstrap(fit, op, ds, "x1", null_value=1.0, B=399,
                                  seed=3, compute_ci=True)
-    for null in (-33.25, -35.0):
-        kept = wild_cluster_bootstrap(fit, op, ds, "x1", null_value=null, B=399, seed=3)
-        assert kept.p_value == 20 / 400
-    assert res.ci_low < -35.0
-    beyond = wild_cluster_bootstrap(fit, op, ds, "x1", null_value=res.ci_low - 0.01,
-                                    B=399, seed=3)
-    assert beyond.p_value < 0.05
+
+    def p_at(null):
+        return wild_cluster_bootstrap(fit, op, ds, "x1", null_value=null, B=399, seed=3).p_value
+
+    assert res.ci_low == pytest.approx(-34.3986, abs=1e-4)
+    step = 1e-9 * abs(res.ci_low)
+    for null in (-33.25, -34.0, res.ci_low + step):
+        assert p_at(null) == 20 / 400
+    assert p_at(res.ci_low - step) == 19 / 400
 
 
 @pytest.mark.parametrize("draws", [{"B": 199, "seed": 8}, {"full_enumeration": True}],
@@ -200,7 +204,9 @@ def test_ci_keeps_null_whose_p_equals_alpha():
 @pytest.mark.parametrize("kind", ["heckman", "fixed_effect", "pairwise"])
 def test_cluster_sums_match_row_level_oracle(kind, coef, null, draws):
     # theta* summed over clusters must rank draws exactly as the per-row
-    # y* -> theta* projection does: p-values and interval ends bitwise equal
+    # y* -> theta* projection does: p-values bitwise equal. The oracle finds
+    # the interval from per-draw quartics fitted to row-level refits; its
+    # ends agree to 1e-9 relative (4e-13 seen on these inputs)
     ds = generate_sample(SimCell(J=10, s=2, n=5, seed=7), 0)
     if kind == "heckman":
         op, fit = None, heckman_classic(ds)
@@ -210,8 +216,10 @@ def test_cluster_sums_match_row_level_oracle(kind, coef, null, draws):
         fit = two_step_fit(ds, op)
     res = wild_cluster_bootstrap(fit, op, ds, coef, null_value=null,
                                  compute_ci=True, **draws)
-    want = row_level_bootstrap(fit, op, ds, coef, null_value=null, **draws)
-    assert (res.p_value, res.ci_low, res.ci_high) == want
+    p_value, ci_low, ci_high = row_level_bootstrap(fit, op, ds, coef, null_value=null, **draws)
+    assert res.p_value == p_value
+    assert res.ci_low == pytest.approx(ci_low, rel=1e-9, abs=1e-9)
+    assert res.ci_high == pytest.approx(ci_high, rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("coef", ["x1", "mills"])
@@ -235,31 +243,69 @@ def test_affine_draws_match_refit_at_every_null(kind, coef):
     assert len(set(want)) > 3
 
 
-def test_invert_never_bracketed_end_is_infinite():
-    # estimate at 0: p stays above alpha through every widening of the
-    # search and drops below it only past -1e5
-    def p_at(v):
-        return 0.01 if v < -1e5 else 0.07
-
-    assert _invert(p_at, (-6.0, 0.0), 0.05, -6.0) == -np.inf
-    assert _invert(p_at, (0.0, 6.0), 0.05, 6.0) == np.inf
-    # a rejected null beyond the search range closes the bracket on its side
-    end = _invert(p_at, (-6.0, 0.0), 0.05, -6.0, rejected=-1.5e5)
-    assert end == pytest.approx(-1e5, rel=1e-4)
-    assert _invert(p_at, (0.0, 6.0), 0.05, 6.0, rejected=-1.5e5) == np.inf
+def kind_fit(kind, rep):
+    ds = generate_sample(SimCell(J=10, s=2, n=5), rep)
+    if kind == "heckman":
+        return ds, None, heckman_classic(ds)
+    build = fixed_effect_operator if kind == "fixed_effect" else pairwise_operator
+    op = build(build_neighborhoods(ds, "sublocation"), ds.selected_indices())
+    return ds, op, two_step_fit(ds, op)
 
 
-def test_invert_doubling_widenings_reach_far_crossing():
-    # the crossing at 50 lies past the six constant widenings (6, ..., 36)
-    # and is bracketed by the doubling ones (42, 54)
-    tested = []
+@pytest.mark.parametrize("draws", [{"B": 199, "seed": 8}, {"full_enumeration": True}],
+                         ids=["draws", "enumeration"])
+@pytest.mark.parametrize("coef", ["x1", "mills"])
+@pytest.mark.parametrize("kind", ["heckman", "fixed_effect", "pairwise"])
+def test_interval_ends_are_where_p_crosses_alpha(kind, coef, draws):
+    # the package's own p-value is >= 0.05 at the estimate, just inside each
+    # finite end and at every point of a grid between the ends, and < 0.05
+    # just outside each finite end
+    for rep in (0, 1):
+        ds, op, fit = kind_fit(kind, rep)
+        theta = float(fit.theta[fit.names.index(coef)])
+        res = wild_cluster_bootstrap(fit, op, ds, coef, null_value=0.0, compute_ci=True,
+                                     **draws)
 
-    def p_at(v):
-        tested.append(v)
-        return 0.01 if v > 50.0 else 0.07
+        def p_at(null):
+            return wild_cluster_bootstrap(fit, op, ds, coef, null_value=null, **draws).p_value
 
-    assert _invert(p_at, (0.0, 6.0), 0.05, 6.0) == pytest.approx(50.0, abs=0.01)
-    assert tested[:8] == [6.0, 12.0, 18.0, 24.0, 30.0, 36.0, 42.0, 54.0]
+        assert res.ci_low < theta < res.ci_high and res.pieces >= 1
+        assert p_at(theta) >= ALPHA
+        for end, outward in ((res.ci_low, -1.0), (res.ci_high, 1.0)):
+            if np.isfinite(end):
+                step = 1e-9 * max(1.0, abs(end))
+                assert p_at(end - outward * step) >= ALPHA
+                assert p_at(end + outward * step) < ALPHA
+        low, high = np.clip([res.ci_low, res.ci_high], theta - 1e3, theta + 1e3)
+        assert min(map(p_at, np.linspace(low, high, 402)[1:-1])) >= ALPHA
+
+
+def test_pieces_counts_the_runs_of_kept_nulls():
+    # p is not monotone in the null: on this input {p >= 0.05} has four
+    # pieces, which a fine grid of p-values finds as four runs
+    ds, op, fit = fitted_cell(J=10, s=2, n=4, seed=6)
+    res = wild_cluster_bootstrap(fit, op, ds, "x1", null_value=1.0, B=399,
+                                 seed=3, compute_ci=True)
+    grid = np.linspace(-60.0, 40.0, 2001)
+    kept = np.array([wild_cluster_bootstrap(fit, op, ds, "x1", null_value=v, B=399,
+                                            seed=3).p_value >= ALPHA for v in grid])
+    assert not kept[0] and not kept[-1]
+    assert res.pieces == np.count_nonzero(kept[1:] & ~kept[:-1]) == 4
+
+
+def test_zero_se_interval_is_the_estimate():
+    # a mills coefficient of exactly 0 gives a zero se: |t_obs| is infinite at
+    # every null but the estimate, so the set {p >= 0.05} is that one point
+    ds, op, fit = fitted_cell(J=10, s=2, n=4, seed=6)
+    flat = dataclasses.replace(fit, rho=0.0)
+    theta = float(fit.theta[fit.names.index("x1")])
+    res = wild_cluster_bootstrap(flat, op, ds, "x1", null_value=0.0, B=399, seed=3,
+                                 compute_ci=True)
+    assert (res.ci_low, res.ci_high, res.pieces) == (theta, theta, 1)
+    assert res.t_observed == np.inf and res.p_value < ALPHA
+    for null in (theta - 1e-9, theta + 1e-9):
+        p = wild_cluster_bootstrap(flat, op, ds, "x1", null_value=null, B=399, seed=3).p_value
+        assert p < ALPHA
 
 
 def test_bootstrap_on_undifferenced_baseline():
@@ -304,4 +350,4 @@ def test_result_fields():
     assert res.coefficient == "x1"
     assert res.replications == 99
     assert res.seed == 5
-    assert res.ci_low is None and res.ci_high is None
+    assert res.ci_low is None and res.ci_high is None and res.pieces is None
