@@ -341,12 +341,12 @@ def _dataset(fields: np.ndarray, layout: tuple, schema: CsvSchema, line: np.ndar
     # flags and outcomes as read, stripped only if they fail as read: float()
     # ignores the padding of an outcome, and a blank one fails to parse
     flags, outcome_text = fields[:, pos[schema.selected]], fields[:, pos[schema.outcome]]
-    outcome = np.full(n, np.nan)
+    outcome, as_read = np.full(n, np.nan), flags == "1"
     try:
-        if not (np.isin(flags, ["0", "1"]).all() and np.array_equal(flags == "1", outcome_text != "")):
+        if not ((as_read | (flags == "0")).all() and np.array_equal(as_read, outcome_text != "")):
             raise ValueError("a flag or outcome fails as read")
         with np.errstate(over="ignore"):
-            outcome[flags == "1"] = outcome_text[flags == "1"].astype(np.float64)
+            outcome[as_read] = outcome_text[as_read].astype(np.float64)
     except ValueError:
         flags, outcome_text, outcome = text(schema.selected), text(schema.outcome), None
     selected, unselected, has_outcome = flags == "1", flags == "0", outcome_text != ""
