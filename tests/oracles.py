@@ -7,7 +7,8 @@ V1 = rho^2 D R D' and V2 = rho^2 D S z Vb z' S D' explicitly, and the
 inverse Mills ratio comes from scipy.stats.norm rather than the package's
 own kernels. `row_level_bootstrap` is the wild cluster bootstrap evaluated
 draw by draw over every differenced row, with a restricted refit at every
-null value (`row_level_p_at`). `neighbors_of` lists one observation's
+null value (`row_level_p_at`), and its interval from per-draw quartics
+solved by np.roots. `neighbors_of` lists one observation's
 neighbors in a graph, and `loop_operator` builds a difference operator row
 by row from those sets.
 `row_loop_load_csv` reads a dataset CSV one row at a time and
