@@ -11,8 +11,8 @@ CSV ingestion is columnar too. numpy's C reader (`np.loadtxt` into
 StringDType) tokenizes a file once. csv.reader tokenizes only what the C
 reader refuses or could read differently (a whitespace-only line, a short
 or ragged row, a lone carriage return, any NUL, a header whose quoted name
-spans lines, a field longer than `csv.field_size_limit()`), and any file
-that fails a check, so that the error names the first faulty row; it only
+spans lines, a field longer than `csv.field_size_limit()`), and a faulty
+file whose C-read records are not its rows (see `load_csv`); it only
 tokenizes and numbers the rows. One set of record checks (`_dataset`) then
 runs on the records whichever reader tokenized them, each check once as a
 vector, and number columns are cast to float64, which parses as float()
@@ -120,7 +120,7 @@ class ClusteredDataset:
             if self.coords.shape != (n, 2):
                 raise ValidationError("coords must be an (n, 2) array")
 
-        ids = np.sort(self.obs_ids)
+        ids = np.sort(self.obs_ids, kind="stable")   # fast on ids in order
         if (ids[1:] == ids[:-1]).any():
             raise ValidationError("duplicate obs_id values present")
 
@@ -296,23 +296,25 @@ def _dataset(fields: np.ndarray, layout: tuple, schema: CsvSchema, line: np.ndar
     coordinates). Rows after a short row are not checked. `counts` holds
     each record's field count (default: the array's width). `nul` marks text
     with a NUL, which `np.strings` drops from a string's end, so that text
-    is stripped in Python. Flags and outcomes are taken as read, and
-    stripped only when they fail as read.
+    is stripped in Python. Flags and outcomes are stripped and checked only
+    when they fail as read, and a repeated obs_id's row is looked for only
+    on a fault (on a clean load the dataset's own sort of the ids is the check).
     """
     width, pos, x_cols, z_cols, coord_cols = layout
-    # (row, check order, message), appended in check order; the least is raised
+    # (row, place in the check order, message); the least is raised
     faults: list = []
 
-    def check(mask, message) -> None:
+    def check(mask, message, place=None) -> None:
         bad = np.flatnonzero(mask)
         if bad.size:
-            faults.append((int(bad[0]), len(faults), message(int(bad[0]))))
+            faults.append((int(bad[0]), len(faults) if place is None else place,
+                           message(int(bad[0]))))
 
     counts = np.broadcast_to(fields.shape[1], len(fields)) if counts is None else counts
     check(counts < width, lambda i: f"row {line[i]}: expected {width} fields, got {counts[i]}")
     if faults:
         fields = fields[:faults[0][0]]   # rows past a short one are never reached
-        if not len(fields):
+        if not len(fields):   # a narrow C-read record has no column to index
             raise ValidationError(faults[0][2])
     n = len(fields)
 
@@ -333,29 +335,8 @@ def _dataset(fields: np.ndarray, layout: tuple, schema: CsvSchema, line: np.ndar
 
     obs_ids = labels(schema.obs_id)
     location_ids, sublocation_ids = labels(schema.location), labels(schema.sublocation)
-    order = np.argsort(obs_ids, kind="stable")
-    repeat = np.zeros(n, dtype=bool)
-    repeat[order[1:]] = obs_ids[order[1:]] == obs_ids[order[:-1]]
-    check(repeat, lambda i: f"row {line[i]}: duplicate obs_id {obs_ids.item(i)!r}")
-
-    # flags and outcomes as read, stripped only if they fail as read: float()
-    # ignores the padding of an outcome, and a blank one fails to parse
-    flags, outcome_text = fields[:, pos[schema.selected]], fields[:, pos[schema.outcome]]
-    outcome, as_read = np.full(n, np.nan), flags == "1"
-    try:
-        if not ((as_read | (flags == "0")).all() and np.array_equal(as_read, outcome_text != "")):
-            raise ValueError("a flag or outcome fails as read")
-        with np.errstate(over="ignore"):
-            outcome[as_read] = outcome_text[as_read].astype(np.float64)
-    except ValueError:
-        flags, outcome_text, outcome = text(schema.selected), text(schema.outcome), None
-    selected, unselected, has_outcome = flags == "1", flags == "0", outcome_text != ""
-    check(~(selected | unselected), lambda i: (
-        f"row {line[i]}: column {schema.selected!r} must be 0 or 1, got {flags[i]!r}"))
-    check(selected & ~has_outcome, lambda i: (
-        f"row {line[i]}: selected observation {obs_ids.item(i)!r} has empty outcome"))
-    check(unselected & has_outcome, lambda i: (
-        f"row {line[i]}: non-selected observation {obs_ids.item(i)!r} carries an outcome"))
+    # the duplicate obs_id check, made last, ranks here in the check order
+    repeat_place = len(faults) - 0.5
 
     def numbers(name: str, col: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Parse the `rows` of one text column. The cast parses as float()
@@ -374,18 +355,40 @@ def _dataset(fields: np.ndarray, layout: tuple, schema: CsvSchema, line: np.ndar
     def block(names: list) -> np.ndarray:
         return np.column_stack([numbers(c, fields[:, pos[c]]) for c in names])
 
-    if outcome is None:
+    # flags and outcomes as read; only if they fail so are they stripped and
+    # checked (float() ignores an outcome's padding; a blank one fails to parse)
+    flags, outcome_text = fields[:, pos[schema.selected]], fields[:, pos[schema.outcome]]
+    selected, outcome = flags == "1", np.full(n, np.nan)
+    try:
+        if not ((selected | (flags == "0")).all() and np.array_equal(selected, outcome_text != "")):
+            raise ValueError("a flag or outcome fails as read")
+        with np.errstate(over="ignore"):
+            outcome[selected] = outcome_text[selected].astype(np.float64)
+    except ValueError:
+        flags, outcome_text = text(schema.selected), text(schema.outcome)
+        selected, unselected, has_outcome = flags == "1", flags == "0", outcome_text != ""
+        check(~(selected | unselected), lambda i: (
+            f"row {line[i]}: column {schema.selected!r} must be 0 or 1, got {flags[i]!r}"))
+        check(selected & ~has_outcome, lambda i: (
+            f"row {line[i]}: selected observation {obs_ids.item(i)!r} has empty outcome"))
+        check(unselected & has_outcome, lambda i: (
+            f"row {line[i]}: non-selected observation {obs_ids.item(i)!r} carries an outcome"))
         parsed = selected & has_outcome
-        outcome = np.full(n, np.nan)
         outcome[parsed] = numbers(schema.outcome, outcome_text, parsed)
     x, z = block(x_cols), block(z_cols)
     coords = block(coord_cols) if coord_cols else None
-    if faults:
-        raise ValidationError(min(faults)[2])
-
-    return ClusteredDataset(obs_ids=obs_ids, location_ids=location_ids,
-                            sublocation_ids=sublocation_ids, selected=selected, outcome=outcome,
-                            x=x, z=z, coords=coords, x_names=x_cols, z_names=z_cols)
+    if not faults:
+        try:
+            return ClusteredDataset(obs_ids, location_ids, sublocation_ids, selected, outcome,
+                                    x, z, coords, x_cols, z_cols)
+        except ValidationError as exc:   # its sort finds a repeated obs_id, not its row
+            error = exc
+    # only now is a repeated obs_id looked for, so a clean load sorts its ids once
+    order = np.argsort(obs_ids, kind="stable")
+    repeat = np.zeros(n, dtype=bool)
+    repeat[order[1:]] = obs_ids[order[1:]] == obs_ids[order[:-1]]
+    check(repeat, lambda i: f"row {line[i]}: duplicate obs_id {obs_ids.item(i)!r}", repeat_place)
+    raise ValidationError(min(faults)[2]) if faults else error
 
 
 def load_csv(path, schema: CsvSchema | None = None) -> ClusteredDataset:
@@ -396,15 +399,14 @@ def load_csv(path, schema: CsvSchema | None = None) -> ClusteredDataset:
     `schema` remaps any of them. A missing outcome is an empty field.
     Row numbers in error messages count the header as row 1.
 
-    numpy's C reader tokenizes the file; csv.reader, which only tokenizes
-    and numbers the rows, reads input the C reader cannot read as it would
-    (see `_c_fields`), a header whose quoted name spans lines, and a file
-    that fails a check with more lines than records (the C reader skips
-    empty lines), whose C-read record i need not be row i + 2. One set of
-    record checks (`_dataset`) runs whichever reader tokenized the file,
-    each check one vector mask over the rows; when several rows fail, the
-    error names the first of them. A record the csv module cannot read is refused before
-    any row is checked.
+    numpy's C reader tokenizes the file. csv.reader, which only tokenizes
+    and numbers rows, reads input the C reader cannot read as it would (see
+    `_c_fields`), a header whose quoted name spans lines, and a faulty file
+    with more lines than records or a blank record, whose C record i need
+    not be row i + 2. One set of record checks (`_dataset`) runs on either
+    reader's records, each check one vector mask; when several rows fail,
+    the error names the first. A record the csv module cannot read is
+    refused before any row is checked.
     """
     schema = schema or CsvSchema()
     nul = _has_nul(path)
@@ -420,19 +422,14 @@ def load_csv(path, schema: CsvSchema | None = None) -> ClusteredDataset:
                 try:
                     return _dataset(fields, layout, schema, np.arange(len(fields)) + 2)
                 except ValidationError:
-                    if _lines(path) == len(fields) + 1:
-                        raise
+                    # C record i is row i + 2 when each record is one line and
+                    # none is blank (csv.reader skips those); otherwise
                     # csv.reader reads again to name the faulty row
+                    fh.seek(0)
+                    if (sum(1 for _ in fh) == len(fields) + 1
+                            and np.strings.str_len(np.strings.strip(fields)).any(axis=1).all()):
+                        raise
     return _load_rows(path, schema, nul)
-
-
-def _lines(path) -> int:
-    """The number of lines in a file, a last line without a newline included."""
-    count, last = 0, b"\n"
-    with open(path, "rb") as fh:
-        for chunk in iter(partial(fh.read, 1 << 20), b""):
-            count, last = count + chunk.count(b"\n"), chunk[-1:]
-    return count + (last != b"\n")
 
 
 def _load_rows(path, schema: CsvSchema, nul: bool) -> ClusteredDataset:

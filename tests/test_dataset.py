@@ -480,6 +480,16 @@ LONG_FIELD = "9" * (csv.field_size_limit() + 1)
 # faulty files with more lines than records: the C reader skips an empty
 # line and lets a quoted field span lines, so csv.reader numbers the rows
 @example(text=CSV_HEADER + GOOD_ROWS + "\nc,L1,S,2,,0,0\n")
+# a row of blank fields as wide as the header, which the C reader keeps and
+# csv.reader skips; alone, and above a faulty row
+@example(text=CSV_HEADER + GOOD_ROWS + ",,,,,,\n")
+@example(text=CSV_HEADER + GOOD_ROWS + " , ,,,,,\nc,L1,S,2,,0,0\n")
+# every record narrower than the header, which the C reader reads; and the
+# same with a blank first record, which csv.reader skips
+@example(text=CSV_HEADER + GOOD_ROWS.replace(",2\n", "\n").replace(",3\n", "\n"))
+@example(text=CSV_HEADER + ",,,,,\n" + GOOD_ROWS.replace(",2\n", "\n").replace(",3\n", "\n"))
+# a header ending in a lone carriage return, which no line count sees
+@example(text=CSV_HEADER.replace("\n", "\r") + GOOD_ROWS + "\nc,L1,S,2,,0,0\n")
 @example(text=CSV_HEADER + '"a\n",L1,S,1,1.5,0.5,2\n' + GOOD_ROWS[GOOD_ROWS.index("b"):]
          + "c,L1,S,1,oops,0,0\n")
 def test_load_csv_matches_row_loop(tmp_path_factory, text):
